@@ -80,14 +80,225 @@ struct Line {
     dirty: bool,
 }
 
+/// End of the tag cache's recency list.
+const NIL: u32 = u32::MAX;
+
+/// One tag-cache entry: a cached set and its recency-list neighbours.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    set: u64,
+    /// Neighbour towards MRU, or [`NIL`].
+    prev: u32,
+    /// Neighbour towards LRU, or [`NIL`].
+    next: u32,
+}
+
+/// The sets whose tags the SRAM tag cache holds, most recently used first.
+///
+/// A doubly-linked recency list over a fixed slab of nodes (head = MRU),
+/// beside a dense per-set index, so probing a set, moving it to MRU,
+/// pushing a set at MRU and evicting at LRU all take constant time at any
+/// tag-cache size.
+#[derive(Debug)]
+struct TagCache {
+    n_sets: u64,
+    /// Entries kept once a group fill has evicted.
+    capacity: usize,
+    /// Prefetch group size `PG`.
+    group: u64,
+    /// Per cache set: its slab slot plus one, or 0 when not cached.
+    index: Vec<u32>,
+    /// `capacity + group` nodes: a fill pushes the whole group before it
+    /// evicts.
+    nodes: Vec<Node>,
+    /// Unused slab slots.
+    free: Vec<u32>,
+    /// MRU slot, or [`NIL`] when empty.
+    head: u32,
+    /// LRU slot, or [`NIL`] when empty.
+    tail: u32,
+    len: usize,
+}
+
+impl TagCache {
+    /// An empty tag cache of `capacity` entries over `n_sets` cache sets,
+    /// filled in prefetch groups of `group` sets.
+    fn new(n_sets: u64, capacity: usize, group: u64) -> Self {
+        let slots = usize::try_from(group)
+            .ok()
+            .and_then(|g| capacity.checked_add(g))
+            .and_then(|n| u32::try_from(n).ok())
+            .filter(|&n| n < NIL)
+            .expect("tag cache slab fits u32 links");
+        let empty = Node {
+            set: 0,
+            prev: NIL,
+            next: NIL,
+        };
+        TagCache {
+            n_sets,
+            capacity,
+            group,
+            index: vec![0; usize::try_from(n_sets).expect("set count fits usize")],
+            nodes: vec![empty; slots as usize],
+            free: (0..slots).rev().collect(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The slab slot holding `set`, if it is cached.
+    fn slot(&self, set: u64) -> Option<u32> {
+        self.index[usize::try_from(set).expect("set fits usize")].checked_sub(1)
+    }
+
+    /// Probes for `set`; a hit moves it to MRU.
+    fn touch(&mut self, set: u64) -> bool {
+        let Some(slot) = self.slot(set) else {
+            return false;
+        };
+        if slot != self.head {
+            self.unlink(slot);
+            self.link_mru(slot);
+        }
+        true
+    }
+
+    /// Caches `set`'s prefetch group: pushes each absent set of the group
+    /// at MRU in ascending order (sets already cached keep their place),
+    /// then evicts from the LRU end down to capacity.
+    fn fill_group(&mut self, set: u64) {
+        let base = set / self.group * self.group;
+        for s in base..(base + self.group).min(self.n_sets) {
+            if self.slot(s).is_none() {
+                self.push_mru(s);
+            }
+        }
+        while self.len > self.capacity {
+            self.remove(self.tail);
+        }
+    }
+
+    /// Removes the entry `rank` places from MRU (rank 0 is MRU). Walks
+    /// the list, which only fault injection needs.
+    fn remove_at_rank(&mut self, rank: usize) {
+        assert!(rank < self.len, "rank {rank} past {} entries", self.len);
+        let mut slot = self.head;
+        for _ in 0..rank {
+            slot = self.nodes[slot as usize].next;
+        }
+        self.remove(slot);
+    }
+
+    /// The cached sets, MRU first.
+    fn mru_order(&self) -> impl Iterator<Item = u64> + '_ {
+        let first = (self.head != NIL).then_some(self.head);
+        std::iter::successors(first, |&slot| {
+            let next = self.nodes[slot as usize].next;
+            (next != NIL).then_some(next)
+        })
+        .map(|slot| self.nodes[slot as usize].set)
+    }
+
+    /// Writes the cached sets MRU first, as a `Vec<u64>`.
+    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
+        use bimodal_ckpt::Snapshot;
+        self.mru_order().collect::<Vec<u64>>().save(w);
+    }
+
+    /// Replaces the contents with what [`TagCache::save`] wrote. A list
+    /// this tag cache could not hold (too long, naming a set past
+    /// `n_sets`, or naming a set twice) is rejected and leaves it as it
+    /// was.
+    fn restore(
+        &mut self,
+        r: &mut bimodal_ckpt::SnapshotReader<'_>,
+    ) -> Result<(), bimodal_ckpt::CkptError> {
+        use bimodal_ckpt::Snapshot;
+        let order: Vec<u64> = Snapshot::load(r)?;
+        if order.len() > self.capacity {
+            return Err(r.corrupt(format!(
+                "tag cache holds {} sets, capacity is {}",
+                order.len(),
+                self.capacity
+            )));
+        }
+        let mut tc = TagCache::new(self.n_sets, self.capacity, self.group);
+        for (rank, &set) in order.iter().enumerate().rev() {
+            if set >= self.n_sets {
+                return Err(r.corrupt(format!(
+                    "tag cache entry {rank} is set {set}, but the cache has {} sets",
+                    self.n_sets
+                )));
+            }
+            if tc.slot(set).is_some() {
+                return Err(r.corrupt(format!("tag cache entry {rank} repeats set {set}")));
+            }
+            tc.push_mru(set);
+        }
+        *self = tc;
+        Ok(())
+    }
+
+    fn push_mru(&mut self, set: u64) {
+        let slot = self
+            .free
+            .pop()
+            .expect("slab holds capacity plus one prefetch group");
+        self.nodes[slot as usize].set = set;
+        self.index[usize::try_from(set).expect("set fits usize")] = slot + 1;
+        self.link_mru(slot);
+    }
+
+    fn remove(&mut self, slot: u32) {
+        self.unlink(slot);
+        let set = self.nodes[slot as usize].set;
+        self.index[usize::try_from(set).expect("set fits usize")] = 0;
+        self.free.push(slot);
+    }
+
+    fn link_mru(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = self.head;
+        if self.head == NIL {
+            self.tail = slot;
+        } else {
+            self.nodes[self.head as usize].prev = slot;
+        }
+        self.head = slot;
+        self.len += 1;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.nodes[next as usize].prev = prev;
+        }
+        self.len -= 1;
+    }
+}
+
 /// The ATCache organization.
 #[derive(Debug)]
 pub struct AtCache {
     config: AtCacheConfig,
     n_sets: u64,
     sets: Vec<Vec<Line>>,
-    /// Tag-cache: set indices currently cached in SRAM, LRU order.
-    tag_cache: Vec<u64>,
+    /// Sets whose tags are cached in SRAM.
+    tag_cache: TagCache,
     tag_cache_cycles: Cycle,
     mapper: Option<RowMapper>,
     ledger: EccLedger,
@@ -112,7 +323,7 @@ impl AtCache {
         AtCache {
             sets: vec![Vec::new(); usize::try_from(n_sets).expect("set count fits usize")],
             n_sets,
-            tag_cache: Vec::new(),
+            tag_cache: TagCache::new(n_sets, config.tag_cache_sets, config.prefetch_group),
             tag_cache_cycles: sram.access_cycles(tag_cache_bytes),
             mapper: None,
             ledger: EccLedger::new(),
@@ -137,31 +348,6 @@ impl AtCache {
 
     fn line_addr(&self, tag: u64, set: u64) -> u64 {
         (tag * self.n_sets + set) * u64::from(self.config.block_bytes)
-    }
-
-    /// Probes the SRAM tag cache for `set`; refreshes recency on hit.
-    fn tag_cache_lookup(&mut self, set: u64) -> bool {
-        if let Some(pos) = self.tag_cache.iter().position(|&s| s == set) {
-            let s = self.tag_cache.remove(pos);
-            self.tag_cache.insert(0, s);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Fills the tag cache with `set`'s group of `PG` neighbouring sets.
-    fn tag_cache_fill_group(&mut self, set: u64) {
-        let pg = self.config.prefetch_group;
-        let group_base = (set / pg) * pg;
-        for s in group_base..(group_base + pg).min(self.n_sets) {
-            if !self.tag_cache.contains(&s) {
-                self.tag_cache.insert(0, s);
-            }
-        }
-        while self.tag_cache.len() > self.config.tag_cache_sets {
-            self.tag_cache.pop();
-        }
     }
 
     /// Bytes moved per DRAM tag lookup (target set + PG-group burst):
@@ -267,11 +453,11 @@ impl FaultTarget for AtCache {
         // detected and invalidated, so the next access to that set pays a
         // DRAM tag read instead of consulting a stale copy. Pure timing,
         // never correctness.
-        if self.tag_cache.is_empty() {
+        if self.tag_cache.len() == 0 {
             return false;
         }
-        let pos = rng.gen_range(0..self.tag_cache.len());
-        self.tag_cache.remove(pos);
+        let rank = rng.gen_range(0..self.tag_cache.len());
+        self.tag_cache.remove_at_rank(rank);
         self.stats.locator_heals += 1;
         true
     }
@@ -342,7 +528,7 @@ impl DramCacheScheme for AtCache {
         let tc_hit = {
             let _g = span::enter(SpanId::LocatorProbe);
             span::add_cycles(SpanId::LocatorProbe, self.tag_cache_cycles);
-            self.tag_cache_lookup(set_idx)
+            self.tag_cache.touch(set_idx)
         };
         // A fused tag+data substrate (TDRAM-style) only helps the DRAM
         // tag-read path: the widened burst carries the candidate block, so
@@ -371,7 +557,7 @@ impl DramCacheScheme for AtCache {
                 // The DRAM read just decoded the protected tags: scrub.
                 self.scrub_set(set_idx, loc, t.done, mem);
             }
-            self.tag_cache_fill_group(set_idx);
+            self.tag_cache.fill_group(set_idx);
             self.stats.breakdown.sram += self.tag_cache_cycles;
             self.stats.breakdown.dram_tag += (t.done + self.config.tag_compare_cycles)
                 .saturating_sub(access.now + self.tag_cache_cycles);
@@ -534,16 +720,8 @@ impl DramCacheScheme for AtCache {
                 self.sets.len()
             )));
         }
-        let tag_cache: Vec<u64> = Snapshot::load(r)?;
-        if tag_cache.len() > self.config.tag_cache_sets {
-            return Err(r.corrupt(format!(
-                "tag cache holds {} sets, capacity is {}",
-                tag_cache.len(),
-                self.config.tag_cache_sets
-            )));
-        }
+        self.tag_cache.restore(r)?;
         self.sets = sets;
-        self.tag_cache = tag_cache;
         self.ledger = Snapshot::load(r)?;
         self.stats = Snapshot::load(r)?;
         Ok(())
@@ -567,6 +745,7 @@ impl bimodal_ckpt::Snapshot for Line {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bimodal_ckpt::{CkptError, Snapshot, SnapshotReader, SnapshotWriter};
 
     fn cache() -> (AtCache, MemorySystem) {
         (AtCache::with_capacity_mb(1), MemorySystem::quad_core())
@@ -652,5 +831,161 @@ mod tests {
             now = r.complete;
         }
         assert!(c.tag_cache.len() <= c.config.tag_cache_sets);
+    }
+
+    /// The tag cache as first written: a most-recent-first `Vec` with a
+    /// linear scan and `insert(0)` shifts. Reports depend on the tag
+    /// cache's exact order, so `TagCache` must match it op for op.
+    struct VecTagCache {
+        sets: Vec<u64>,
+        capacity: usize,
+    }
+
+    impl VecTagCache {
+        fn lookup(&mut self, set: u64) -> bool {
+            if let Some(pos) = self.sets.iter().position(|&s| s == set) {
+                let s = self.sets.remove(pos);
+                self.sets.insert(0, s);
+                true
+            } else {
+                false
+            }
+        }
+
+        fn fill_group(&mut self, set: u64, pg: u64, n_sets: u64) {
+            let group_base = (set / pg) * pg;
+            for s in group_base..(group_base + pg).min(n_sets) {
+                if !self.sets.contains(&s) {
+                    self.sets.insert(0, s);
+                }
+            }
+            while self.sets.len() > self.capacity {
+                self.sets.pop();
+            }
+        }
+    }
+
+    /// Drives `TagCache` and the `Vec` reference through one seeded
+    /// sequence of probes (a group fill on each miss), removals at a
+    /// random recency rank and checkpoint round trips, comparing the hit
+    /// answer and the MRU-to-LRU order after every op.
+    fn matches_vec_reference(n_sets: u64, capacity: usize, ops: u32, seed: u64) {
+        const PG: u64 = 8;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut reference = VecTagCache {
+            sets: Vec::new(),
+            capacity,
+        };
+        let mut tc = TagCache::new(n_sets, capacity, PG);
+        // Half the probes stay within twice the tag cache's reach, so hits
+        // are common; the rest roam every set.
+        let hot = (2 * capacity as u64).min(n_sets);
+        let (mut hits, mut removals, mut round_trips, mut full) = (0, 0, 0, false);
+        for op in 0..ops {
+            match rng.gen_range(0..100u32) {
+                0 | 1 if !reference.sets.is_empty() => {
+                    // The single draw `inject_locator_flip` makes.
+                    let rank = rng.gen_range(0..reference.sets.len());
+                    reference.sets.remove(rank);
+                    tc.remove_at_rank(rank);
+                    removals += 1;
+                }
+                2 => {
+                    // The reference's checkpoint is what the `Vec` wrote.
+                    let mut w = SnapshotWriter::new();
+                    reference.sets.save(&mut w);
+                    let old_bytes = w.into_bytes();
+                    let mut w = SnapshotWriter::new();
+                    tc.save(&mut w);
+                    assert_eq!(w.into_bytes(), old_bytes, "op {op}: checkpoint bytes");
+                    tc.restore(&mut SnapshotReader::new(&old_bytes, "scheme"))
+                        .expect("a saved tag cache restores");
+                    round_trips += 1;
+                }
+                roll => {
+                    let set = rng.gen_range(0..if roll % 2 == 0 { hot } else { n_sets });
+                    let hit = tc.touch(set);
+                    assert_eq!(hit, reference.lookup(set), "op {op}: probe of set {set}");
+                    if hit {
+                        hits += 1;
+                    } else {
+                        tc.fill_group(set);
+                        reference.fill_group(set, PG, n_sets);
+                    }
+                }
+            }
+            assert!(
+                tc.mru_order().eq(reference.sets.iter().copied()),
+                "op {op}: recency order differs"
+            );
+            assert_eq!(tc.len(), reference.sets.len(), "op {op}: length");
+            full |= tc.len() == capacity;
+        }
+        assert!(
+            hits > ops / 10 && removals > ops / 100 && round_trips > ops / 200 && full,
+            "weak coverage: {hits} hits, {removals} removals, {round_trips} round trips, \
+             full: {full}"
+        );
+    }
+
+    #[test]
+    fn tag_cache_matches_vec_reference_at_1mb() {
+        matches_vec_reference(1_024, 64, 20_000, 1);
+    }
+
+    #[test]
+    fn tag_cache_matches_vec_reference_at_8mb() {
+        matches_vec_reference(8_192, 256, 20_000, 2);
+    }
+
+    #[test]
+    fn tag_cache_matches_vec_reference_at_128mb() {
+        matches_vec_reference(131_072, 4_096, 5_000, 3);
+    }
+
+    #[test]
+    fn tag_cache_matches_vec_reference_with_a_truncated_last_group() {
+        // 100 sets: the last prefetch group is 96..100, not 96..104.
+        matches_vec_reference(100, 64, 20_000, 4);
+    }
+
+    /// The corrupt-section detail a fresh 1 MB cache reports when it
+    /// restores a checkpoint whose tag cache lists `order`.
+    fn restore_error(order: &[u64]) -> String {
+        let mut c = AtCache::with_capacity_mb(1);
+        let mut w = SnapshotWriter::new();
+        w.u8(1);
+        c.sets.save(&mut w);
+        order.to_vec().save(&mut w);
+        c.ledger.save(&mut w);
+        c.stats.save(&mut w);
+        let bytes = w.into_bytes();
+        match c.restore_state(&mut SnapshotReader::new(&bytes, "scheme")) {
+            Err(CkptError::Corrupt { detail, .. }) => detail,
+            other => panic!("expected a corrupt-section error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_tag_cache_entry_past_the_last_set() {
+        let n_sets = AtCache::with_capacity_mb(1).n_sets;
+        let detail = restore_error(&[0, n_sets]);
+        assert!(
+            detail.contains(&format!("entry 1 is set {n_sets}")),
+            "{detail}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_tag_cache_entry() {
+        let detail = restore_error(&[3, 5, 3]);
+        assert!(detail.contains("repeats set 3"), "{detail}");
+    }
+
+    #[test]
+    fn restore_rejects_an_overfull_tag_cache() {
+        let capacity = AtCacheConfig::for_cache_mb(1).tag_cache_sets;
+        let detail = restore_error(&(0..=capacity as u64).collect::<Vec<_>>());
+        assert!(detail.contains("capacity is"), "{detail}");
     }
 }

@@ -1,17 +1,18 @@
 //! Microbenchmarks of the hot structures (criterion-free wall-clock).
 //!
 //! Reports nanoseconds per operation for the way locator, block size
-//! predictor, bi-modal set and DRAM bank engine — the inner loops of the
-//! simulator.
+//! predictor, bi-modal set, DRAM bank engine and ATCache's SRAM tag cache
+//! — the inner loops of the simulator.
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use bimodal_baselines::{AtCache, AtCacheConfig};
 use bimodal_core::{
-    BiModalSet, BlockSize, BlockSizePredictor, CacheGeometry, FunctionalCache, FunctionalConfig,
-    PredictorConfig, WayLocator, WayLocatorConfig,
+    BiModalSet, BlockSize, BlockSizePredictor, CacheAccess, CacheGeometry, DramCacheScheme,
+    FunctionalCache, FunctionalConfig, PredictorConfig, WayLocator, WayLocatorConfig,
 };
-use bimodal_dram::{DramConfig, DramModule, Location, Request};
+use bimodal_dram::{DramConfig, DramModule, Location, MemorySystem, Request};
 
 fn time<F: FnMut(u64) -> u64>(label: &str, iters: u64, mut f: F) {
     // Warm up.
@@ -34,7 +35,7 @@ fn time<F: FnMut(u64) -> u64>(label: &str, iters: u64, mut f: F) {
 fn main() {
     bimodal_bench::banner(
         "Microbenchmarks — simulator hot paths",
-        "way locator, predictor, set, functional cache and DRAM engine",
+        "way locator, predictor, set, functional cache, DRAM engine and ATCache tag cache",
     );
     let iters = 2_000_000;
 
@@ -84,4 +85,39 @@ fn main() {
         let loc = Location::new((i % 2) as u32, 0, (i % 8) as u32, (i * 31) % 1024);
         dram.access(Request::read(loc, 64, i * 20)).done
     });
+
+    // ATCache hits at the tag-cache sizes the 8 MB and 128 MB runs use:
+    // each access reads the least recently used of as many resident sets
+    // as the tag cache holds, so a cost that grows with the tag cache's
+    // size shows as a gap between the two lines.
+    for (mb, tag_cache_sets) in [(8u64, 256usize), (128, 4096)] {
+        let mut c = AtCache::new(AtCacheConfig {
+            tag_cache_sets,
+            ..AtCacheConfig::for_cache_mb(mb)
+        });
+        let mut mem = MemorySystem::quad_core();
+        let resident = tag_cache_sets as u64;
+        let mut now = 0;
+        for set in 0..resident {
+            now = c
+                .access(CacheAccess::read(set * 64, now), &mut mem)
+                .complete;
+        }
+        let warm_misses = c.stats().locator_misses;
+        time(
+            &format!("ATCache tag-cache-hit access {mb:>3} MB"),
+            iters / 10,
+            |i| {
+                let addr = black_box((i % resident) * 64);
+                let outcome = c.access(CacheAccess::read(addr, now), &mut mem);
+                now = outcome.complete;
+                u64::from(outcome.hit)
+            },
+        );
+        assert_eq!(
+            c.stats().locator_misses,
+            warm_misses,
+            "every timed access must hit the tag cache"
+        );
+    }
 }
