@@ -146,10 +146,38 @@ impl AlloyConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One TAD's tag and dirty bit. The cache stores each entry packed into
+/// one `u64` (see [`TadEntry::pack`]); checkpoints keep the
+/// `Option<TadEntry>` layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TadEntry {
     tag: u64,
     dirty: bool,
+}
+
+impl TadEntry {
+    /// The largest tag an entry stores. Packing needs `tag + 1 < 2^63`;
+    /// this bound keeps one more bit spare, so an injected flip of a
+    /// stored tag's low bits is storable too. Tags of real addresses are
+    /// below 2^58.
+    const MAX_TAG: u64 = u64::MAX >> 2;
+
+    /// The stored word: 0 for an empty slot, otherwise
+    /// `((tag + 1) << 1) | dirty`.
+    fn pack(entry: Option<TadEntry>) -> u64 {
+        entry.map_or(0, |e| {
+            assert!(e.tag <= Self::MAX_TAG, "tag {:#x} is unstorable", e.tag);
+            ((e.tag + 1) << 1) | u64::from(e.dirty)
+        })
+    }
+
+    /// Decodes a word written by [`TadEntry::pack`].
+    fn unpack(word: u64) -> Option<TadEntry> {
+        (word != 0).then(|| TadEntry {
+            tag: (word >> 1) - 1,
+            dirty: word & 1 != 0,
+        })
+    }
 }
 
 /// The AlloyCache organization.
@@ -157,7 +185,8 @@ struct TadEntry {
 pub struct AlloyCache {
     config: AlloyConfig,
     n_blocks: u64,
-    entries: Vec<Option<TadEntry>>,
+    /// One packed [`TadEntry`] per block slot; all zeros is an empty cache.
+    entries: Vec<u64>,
     predictor: MapPredictor,
     mapper: Option<RowMapper>,
     ledger: EccLedger,
@@ -180,7 +209,7 @@ impl AlloyCache {
         );
         let n_blocks = config.cache_bytes / u64::from(config.block_bytes);
         AlloyCache {
-            entries: vec![None; usize::try_from(n_blocks).expect("block count fits usize")],
+            entries: vec![0; usize::try_from(n_blocks).expect("block count fits usize")],
             n_blocks,
             predictor: MapPredictor::new(),
             mapper: None,
@@ -265,8 +294,9 @@ impl AlloyCache {
             if fault.multi_bit {
                 self.stats.ecc_detected_uncorrected += 1;
                 let slot = usize::try_from(fault.set).expect("index fits usize");
-                if self.entries[slot].is_some_and(|e| e.tag == fault.orig_tag) {
-                    let entry = self.entries[slot].take().expect("checked above");
+                let entry = TadEntry::unpack(self.entries[slot]);
+                if let Some(entry) = entry.filter(|e| e.tag == fault.orig_tag) {
+                    self.entries[slot] = 0;
                     if entry.dirty {
                         let bytes = self.config.block_bytes;
                         mem.defer(
@@ -311,17 +341,17 @@ impl FaultTarget for AlloyCache {
         let start = rng.gen_range(0..n);
         for probe in 0..n {
             let idx = (start + probe) % n;
-            let Some(entry) = self.entries[idx] else {
+            let Some(entry) = TadEntry::unpack(self.entries[idx]) else {
                 continue;
             };
             let xor = random_tag_xor(rng, multi_bit);
             let apply = !self.config.metadata_ecc;
             let (orig_tag, new_tag) = (entry.tag, entry.tag ^ xor);
             if apply {
-                self.entries[idx] = Some(TadEntry {
+                self.entries[idx] = TadEntry::pack(Some(TadEntry {
                     tag: new_tag,
                     ..entry
-                });
+                }));
             }
             let fault = MetadataFault {
                 set: idx as u64,
@@ -354,8 +384,8 @@ impl FaultTarget for AlloyCache {
 
     fn contents_digest(&self) -> u64 {
         let mut d = ContentsDigest::new();
-        for (i, entry) in self.entries.iter().enumerate() {
-            if let Some(e) = entry {
+        for (i, &word) in self.entries.iter().enumerate() {
+            if let Some(e) = TadEntry::unpack(word) {
                 d.mix(i as u64);
                 d.mix(e.tag);
                 d.mix(u64::from(e.dirty));
@@ -373,8 +403,8 @@ impl FaultTarget for AlloyCache {
                 self.stats.ecc_detected_uncorrected += 1;
                 // End-of-campaign accounting scrub: just drop the entry.
                 let slot = usize::try_from(fault.set).expect("index fits usize");
-                if self.entries[slot].is_some_and(|e| e.tag == fault.orig_tag) {
-                    self.entries[slot] = None;
+                if TadEntry::unpack(self.entries[slot]).is_some_and(|e| e.tag == fault.orig_tag) {
+                    self.entries[slot] = 0;
                 }
             } else {
                 corrected += 1;
@@ -427,7 +457,8 @@ impl DramCacheScheme for AlloyCache {
             // The probe just decoded the protected TAD: SECDED scrub.
             self.scrub_index(index, tad.done, mem);
         }
-        let entry = self.entries[usize::try_from(index).expect("index fits")];
+        let slot = usize::try_from(index).expect("index fits");
+        let entry = TadEntry::unpack(self.entries[slot]);
         let is_hit = entry.is_some_and(|e| e.tag == tag);
 
         let mut offchip_bytes = 0u64;
@@ -450,8 +481,7 @@ impl DramCacheScheme for AlloyCache {
             self.stats.hits += 1;
             self.stats.big_hits += 1;
             if access.is_write() {
-                self.entries[usize::try_from(index).expect("index fits")] =
-                    Some(TadEntry { tag, dirty: true });
+                self.entries[slot] = TadEntry::pack(Some(TadEntry { tag, dirty: true }));
                 // The dirty TAD is rewritten in place, off the critical path.
                 let bytes = self.tad_bytes();
                 let loc = self.tad_location(index, mem);
@@ -497,10 +527,10 @@ impl DramCacheScheme for AlloyCache {
                     offchip_bytes += u64::from(bytes);
                 }
             }
-            self.entries[usize::try_from(index).expect("index fits")] = Some(TadEntry {
+            self.entries[slot] = TadEntry::pack(Some(TadEntry {
                 tag,
                 dirty: access.is_write(),
-            });
+            }));
             self.stats.fills_big += 1;
             // Fill the TAD (write, off the critical path).
             let tad_w = self.tad_bytes();
@@ -551,7 +581,11 @@ impl DramCacheScheme for AlloyCache {
     fn save_state(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
         use bimodal_ckpt::Snapshot;
         w.u8(1);
-        self.entries.save(w);
+        // The `Vec<Option<TadEntry>>` layout.
+        w.usize(self.entries.len());
+        for &word in &self.entries {
+            TadEntry::unpack(word).save(w);
+        }
         self.predictor.save_state(w);
         self.ledger.save(w);
         self.stats.save(w);
@@ -563,13 +597,24 @@ impl DramCacheScheme for AlloyCache {
     ) -> Result<(), bimodal_ckpt::CkptError> {
         use bimodal_ckpt::Snapshot;
         expect_stateful_marker(r, "AlloyCache")?;
-        let entries: Vec<Option<TadEntry>> = Snapshot::load(r)?;
-        if entries.len() != self.entries.len() {
+        let n = r.bounded_len()?;
+        if n != self.entries.len() {
             return Err(r.corrupt(format!(
-                "checkpoint has {} TAD entries, configuration expects {}",
-                entries.len(),
+                "checkpoint has {n} TAD entries, configuration expects {}",
                 self.entries.len()
             )));
+        }
+        let mut entries = vec![0; n];
+        for (slot, word) in entries.iter_mut().enumerate() {
+            let entry: Option<TadEntry> = Snapshot::load(r)?;
+            if let Some(e) = entry.filter(|e| e.tag > TadEntry::MAX_TAG) {
+                return Err(r.corrupt(format!(
+                    "TAD slot {slot} holds tag {:#x}, above the largest storable tag {:#x}",
+                    e.tag,
+                    TadEntry::MAX_TAG
+                )));
+            }
+            *word = TadEntry::pack(entry);
         }
         self.entries = entries;
         self.predictor.load_state(r)?;
@@ -740,6 +785,104 @@ mod tests {
             0,
             "no speculation, no waste"
         );
+    }
+
+    #[test]
+    fn packed_entries_round_trip() {
+        assert_eq!(TadEntry::pack(None), 0);
+        assert_eq!(TadEntry::unpack(0), None);
+        for tag in [0, 1, 0x1234_5678, TadEntry::MAX_TAG - 1, TadEntry::MAX_TAG] {
+            for dirty in [false, true] {
+                let e = TadEntry { tag, dirty };
+                let word = TadEntry::pack(Some(e));
+                assert_ne!(word, 0, "a resident entry never reads as empty");
+                assert_eq!(TadEntry::unpack(word), Some(e));
+            }
+        }
+        // An injected 20-bit flip of the largest tag still packs.
+        let flipped = TadEntry::MAX_TAG ^ ((1 << 20) - 1);
+        assert!(flipped <= TadEntry::MAX_TAG);
+    }
+
+    fn state_bytes(c: &AlloyCache) -> Vec<u8> {
+        let mut w = bimodal_ckpt::SnapshotWriter::new();
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn checkpoint_keeps_the_option_entry_layout() {
+        use bimodal_ckpt::Snapshot;
+        let (mut c, mut mem) = cache();
+        // A dirty entry with tag 0, a clean one with tag 3 and a clean one
+        // with the largest storable tag.
+        let w = c.access(CacheAccess::write(0x2000, 0), &mut mem);
+        let tag3 = 0x4000 + c.n_blocks * 64 * 3;
+        let _ = c.access(CacheAccess::read(tag3, w.complete), &mut mem);
+        let last = c.entries.len() - 1;
+        c.entries[last] = TadEntry::pack(Some(TadEntry {
+            tag: TadEntry::MAX_TAG,
+            dirty: false,
+        }));
+
+        // The same bytes the `Vec<Option<TadEntry>>` field wrote.
+        let mut old = vec![None; c.entries.len()];
+        old[0x2000 / 64] = Some(TadEntry {
+            tag: 0,
+            dirty: true,
+        });
+        old[0x4000 / 64] = Some(TadEntry {
+            tag: 3,
+            dirty: false,
+        });
+        old[last] = Some(TadEntry {
+            tag: TadEntry::MAX_TAG,
+            dirty: false,
+        });
+        let mut w = bimodal_ckpt::SnapshotWriter::new();
+        w.u8(1);
+        old.save(&mut w);
+        c.predictor.save_state(&mut w);
+        c.ledger.save(&mut w);
+        c.stats.save(&mut w);
+        let expected = w.into_bytes();
+        assert_eq!(state_bytes(&c), expected);
+
+        let (mut d, _) = cache();
+        let mut r = bimodal_ckpt::SnapshotReader::new(&expected, "scheme");
+        d.restore_state(&mut r).expect("restore");
+        assert!(r.is_exhausted());
+        assert_eq!(d.entries, c.entries);
+        assert_eq!(state_bytes(&d), expected);
+    }
+
+    #[test]
+    fn restore_rejects_unstorable_tags() {
+        use bimodal_ckpt::Snapshot;
+        let (c, _) = cache();
+        for tag in [TadEntry::MAX_TAG + 1, u64::MAX] {
+            let mut entries = vec![None; c.entries.len()];
+            entries[7] = Some(TadEntry { tag, dirty: true });
+            let mut w = bimodal_ckpt::SnapshotWriter::new();
+            w.u8(1);
+            entries.save(&mut w);
+            c.predictor.save_state(&mut w);
+            c.ledger.save(&mut w);
+            c.stats.save(&mut w);
+            let bytes = w.into_bytes();
+            let (mut d, _) = cache();
+            let mut r = bimodal_ckpt::SnapshotReader::new(&bytes, "scheme");
+            match d.restore_state(&mut r) {
+                Err(bimodal_ckpt::CkptError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("TAD slot 7"), "{detail}");
+                }
+                other => panic!("expected a Corrupt error naming slot 7, got {other:?}"),
+            }
+            assert!(
+                d.entries.iter().all(|&w| w == 0),
+                "a failed restore keeps the old entries"
+            );
+        }
     }
 
     #[test]

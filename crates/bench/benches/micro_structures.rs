@@ -2,15 +2,17 @@
 //!
 //! Reports nanoseconds per operation for the way locator, block size
 //! predictor, bi-modal set, DRAM bank engine and ATCache's SRAM tag cache
-//! — the inner loops of the simulator.
+//! — the inner loops of the simulator — and for building (and dropping)
+//! a Table IV-sized 128 MB cache, the set-up cost before the first access.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use bimodal_baselines::{AtCache, AtCacheConfig};
+use bimodal_baselines::{AlloyCache, AtCache, AtCacheConfig};
 use bimodal_core::{
-    BiModalSet, BlockSize, BlockSizePredictor, CacheAccess, CacheGeometry, DramCacheScheme,
-    FunctionalCache, FunctionalConfig, PredictorConfig, WayLocator, WayLocatorConfig,
+    BiModalCache, BiModalConfig, BlockSize, BlockSizePredictor, CacheAccess, CacheGeometry,
+    DramCacheScheme, FunctionalCache, FunctionalConfig, PredictorConfig, SetArena, WayLocator,
+    WayLocatorConfig,
 };
 use bimodal_dram::{DramConfig, DramModule, Location, MemorySystem, Request};
 
@@ -35,7 +37,7 @@ fn time<F: FnMut(u64) -> u64>(label: &str, iters: u64, mut f: F) {
 fn main() {
     bimodal_bench::banner(
         "Microbenchmarks — simulator hot paths",
-        "way locator, predictor, set, functional cache, DRAM engine and ATCache tag cache",
+        "way locator, predictor, set, functional cache, DRAM engine, ATCache tag cache and cache set-up",
     );
     let iters = 2_000_000;
 
@@ -61,7 +63,7 @@ fn main() {
     });
 
     let geometry = CacheGeometry::paper_default(1 << 20);
-    let mut set = BiModalSet::new(&geometry);
+    let mut sets = SetArena::new(&geometry);
     let global = geometry.allowed_states()[1];
     time("bi-modal set insert+lookup", iters / 4, |i| {
         let size = if i % 3 == 0 {
@@ -69,10 +71,10 @@ fn main() {
         } else {
             BlockSize::Big
         };
-        set.insert(size, i % 1000, (i % 8) as u8, global, &mut |n| {
+        sets.insert(0, size, i % 1000, (i % 8) as u8, global, &mut |n| {
             (i % u64::from(n)) as u8
         });
-        u64::from(set.lookup(i % 1000, (i % 8) as u8).is_some())
+        u64::from(sets.lookup(0, i % 1000, (i % 8) as u8).is_some())
     });
 
     let mut fc = FunctionalCache::new(FunctionalConfig::new(1 << 22, 512, 4));
@@ -120,4 +122,17 @@ fn main() {
             "every timed access must hit the tag cache"
         );
     }
+
+    // Building the paper's quad-core 128 MB cache (Table IV): the cost a
+    // run pays per scheme before its first access, drop included.
+    time("build BiModal 128 MB", 20, |_| {
+        let c = BiModalCache::new(BiModalConfig::for_cache_mb(128));
+        black_box(&c);
+        0
+    });
+    time("build AlloyCache 128 MB", 20, |_| {
+        let c = AlloyCache::with_capacity_mb(128);
+        black_box(&c);
+        0
+    });
 }

@@ -1,46 +1,47 @@
 //! Table II: block replacement decisions in the Bi-Modal cache.
 //!
-//! Exercises a real `BiModalSet` through every (set state vs global
+//! Exercises a real bi-modal set through every (set state vs global
 //! state) x (predicted size) combination and prints what actually
 //! happened, regenerating the paper's decision matrix from behaviour.
 
-use bimodal_core::{BiModalSet, BlockSize, CacheGeometry, SetState};
+use bimodal_core::{BlockSize, CacheGeometry, SetArena, SetState};
 
 fn scenario(set_state: SetState, global: SetState, predicted: BlockSize) -> String {
     let geometry = CacheGeometry::paper_default(1 << 20);
-    let mut set = BiModalSet::new(&geometry);
+    let mut sets = SetArena::new(&geometry);
+    let set = 0;
     // Drive the set into `set_state` by inserting with a matching target.
     let mut tag = 1000u64;
-    while set.state() != set_state {
-        let size = if set.state().big > set_state.big {
+    while sets.state(set) != set_state {
+        let size = if sets.state(set).big > set_state.big {
             BlockSize::Small
         } else {
             BlockSize::Big
         };
-        set.insert(size, tag, 0, set_state, &mut |_| 0);
+        sets.insert(set, size, tag, 0, set_state, &mut |_| 0);
         tag += 1;
     }
     // Fill every way so the insertion must replace something.
     for k in 0..40u64 {
-        let st = set.state();
-        set.insert(BlockSize::Big, 2000 + k, 0, st, &mut |_| 0);
+        let st = sets.state(set);
+        sets.insert(set, BlockSize::Big, 2000 + k, 0, st, &mut |_| 0);
         if st.small > 0 {
-            set.insert(BlockSize::Small, 3000 + k, 1, st, &mut |_| 0);
+            sets.insert(set, BlockSize::Small, 3000 + k, 1, st, &mut |_| 0);
         }
-        if set.occupancy() >= usize::from(st.big) + usize::from(st.small) {
+        if sets.occupancy(set) >= usize::from(st.big) + usize::from(st.small) {
             break;
         }
     }
 
-    let before = set.state();
-    let out = set.insert(predicted, 99_999, 2, global, &mut |_| 0);
-    let evicted_big = out
-        .evicted
+    let before = sets.state(set);
+    let out = sets.insert(set, predicted, 99_999, 2, global, &mut |_| 0);
+    let evicted_big = sets
+        .evicted()
         .iter()
         .filter(|v| v.size == BlockSize::Big)
         .count();
-    let evicted_small = out
-        .evicted
+    let evicted_small = sets
+        .evicted()
         .iter()
         .filter(|v| v.size == BlockSize::Small)
         .count();
@@ -50,7 +51,7 @@ fn scenario(set_state: SetState, global: SetState, predicted: BlockSize) -> Stri
     };
     format!(
         "state {before} -> {}; evicted {evicted_big} big + {evicted_small} small; filled {landed}",
-        set.state()
+        sets.state(set)
     )
 }
 

@@ -29,7 +29,7 @@ use crate::miss_predictor::MissPredictor;
 use crate::predictor::{BlockSizePredictor, PredictorConfig, UtilizationTracker};
 use crate::resilience::{random_tag_xor, ContentsDigest, EccLedger, FaultTarget, MetadataFault};
 use crate::scheme::{AccessKind, AccessOutcome, CacheAccess, DramCacheScheme};
-use crate::set::{BiModalSet, Victim, WayRef};
+use crate::set::{SetArena, Victim, WayRef};
 use crate::sram::SramModel;
 use crate::stats::SchemeStats;
 use crate::way_locator::{WayLocator, WayLocatorConfig};
@@ -290,7 +290,7 @@ pub struct BiModalCache {
     geometry: CacheGeometry,
     /// Mask/shift snapshot of `geometry` for the per-access decode path.
     amap: crate::AddrMap,
-    sets: Vec<BiModalSet>,
+    sets: SetArena,
     way_locator: Option<WayLocator>,
     wl_cycles: Cycle,
     predictor: BlockSizePredictor,
@@ -341,9 +341,7 @@ impl BiModalCache {
         if config.metadata_ecc {
             metadata = metadata.with_ecc();
         }
-        let sets = (0..geometry.n_sets())
-            .map(|_| BiModalSet::new(&geometry))
-            .collect();
+        let sets = SetArena::new(&geometry);
         let sram = SramModel::new();
         let way_locator = config.way_locator.map(WayLocator::new);
         let wl_cycles = way_locator
@@ -473,7 +471,9 @@ impl BiModalCache {
         if raw == BlockSize::Big {
             return BlockSize::Big;
         }
-        let set_state = self.sets[usize::try_from(set_idx).expect("set fits usize")].state();
+        let set_state = self
+            .sets
+            .state(usize::try_from(set_idx).expect("set fits usize"));
         if set_state.small == 0 && self.global.target().small == 0 {
             BlockSize::Big
         } else {
@@ -505,7 +505,8 @@ impl BiModalCache {
     /// Panics if `set` is out of range.
     #[must_use]
     pub fn set_state(&self, set: u64) -> crate::geometry::SetState {
-        self.sets[usize::try_from(set).expect("set index fits usize")].state()
+        self.sets
+            .state(usize::try_from(set).expect("set index fits usize"))
     }
 
     fn full_addr(&self, tag: u64, set: u64, sub_block: u8) -> u64 {
@@ -551,14 +552,15 @@ impl BiModalCache {
         let Some(wl) = self.way_locator.as_ref() else {
             return 0;
         };
-        let set = &self.sets[usize::try_from(set_idx).expect("set fits usize")];
+        let set = usize::try_from(set_idx).expect("set fits usize");
+        let state = self.sets.state(set);
         let n = match size {
-            BlockSize::Big => set.state().big,
-            BlockSize::Small => set.state().small,
+            BlockSize::Big => state.big,
+            BlockSize::Small => state.small,
         };
         let mut mask = 0u64;
         for i in 0..n {
-            if let Some((tag, sub)) = set.way_tag(WayRef { size, index: i }) {
+            if let Some((tag, sub)) = self.sets.way_tag(set, WayRef { size, index: i }) {
                 let addr = self.full_addr(tag, set_idx, sub);
                 if wl.peek(addr).is_some() {
                     mask |= 1u64 << i;
@@ -698,11 +700,12 @@ impl BiModalCache {
         // victims.
         let global_target = self.global.target();
         let protected = self.protected_mask(set_idx, predicted);
+        let set = usize::try_from(set_idx).expect("set fits usize");
         let outcome = {
             let rng = &mut self.rng;
-            let set = &mut self.sets[usize::try_from(set_idx).expect("set fits usize")];
             let mut pick = |n: u8| Self::pick_victim(rng, n, protected);
-            set.insert(predicted, tag, sub, global_target, &mut pick)
+            self.sets
+                .insert(set, predicted, tag, sub, global_target, &mut pick)
         };
 
         // Absorbed small blocks vanish from the set; their locator entries
@@ -718,13 +721,14 @@ impl BiModalCache {
             }
         }
 
-        for victim in &outcome.evicted {
-            self.retire_victim(victim, set_idx, fetch.done, mem);
+        // By index: retiring a victim borrows the whole cache.
+        for i in 0..self.sets.evicted().len() {
+            let victim = self.sets.evicted()[i];
+            self.retire_victim(&victim, set_idx, fetch.done, mem);
         }
 
         // Mark the requested line referenced (and dirty on writes).
-        let set = &mut self.sets[usize::try_from(set_idx).expect("set fits usize")];
-        set.touch(outcome.way, sub, access.is_write());
+        self.sets.touch(set, outcome.way, sub, access.is_write());
         match outcome.way.size {
             BlockSize::Big => self.stats.fills_big += 1,
             BlockSize::Small => {
@@ -736,7 +740,7 @@ impl BiModalCache {
                 // half the region's lines sit in the set as small blocks,
                 // the region is demonstrably spatial: train toward big.
                 let promote_at = self.geometry.sub_blocks() / 2;
-                if self.bimodal && set.small_sibling_count(tag) == promote_at {
+                if self.bimodal && self.sets.small_sibling_count(set, tag) == promote_at {
                     self.predictor.promote(big_base);
                 }
             }
@@ -842,8 +846,8 @@ impl BiModalCache {
             },
             index: fault.way,
         };
-        let set = &mut self.sets[usize::try_from(fault.set).expect("set fits usize")];
-        let victim = set.invalidate_way(way)?;
+        let set = usize::try_from(fault.set).expect("set fits usize");
+        let victim = self.sets.invalidate_way(set, way)?;
         let base = self.geometry.reconstruct(victim.tag, fault.set);
         let addr = base + u64::from(victim.sub_block) * u64::from(self.geometry.small_block);
         if let Some(wl) = self.way_locator.as_mut() {
@@ -866,17 +870,21 @@ impl FaultTarget for BiModalCache {
         let start = rng.gen_range(0..n_sets);
         for probe in 0..n_sets {
             let idx = (start + probe) % n_sets;
-            let ways = self.sets[idx].occupied_ways();
-            if ways.is_empty() {
+            let occupied = self.sets.occupancy(idx);
+            if occupied == 0 {
                 continue;
             }
-            let way = ways[rng.gen_range(0..ways.len())];
+            let way = self
+                .sets
+                .occupied_ways(idx)
+                .nth(rng.gen_range(0..occupied))
+                .expect("rank below the occupancy");
             let xor = random_tag_xor(rng, multi_bit);
             let apply = !self.metadata.ecc();
             let (orig_tag, new_tag) = if apply {
-                self.sets[idx].corrupt_tag(way, xor)?
+                self.sets.corrupt_tag(idx, way, xor)?
             } else {
-                let (tag, _) = self.sets[idx].way_tag(way)?;
+                let (tag, _) = self.sets.way_tag(idx, way)?;
                 (tag, tag ^ xor)
             };
             let fault = MetadataFault {
@@ -912,8 +920,8 @@ impl FaultTarget for BiModalCache {
 
     fn contents_digest(&self) -> u64 {
         let mut d = ContentsDigest::new();
-        for (i, set) in self.sets.iter().enumerate() {
-            for v in set.residents() {
+        for i in 0..self.sets.len() {
+            for v in self.sets.residents(i) {
                 d.mix(i as u64);
                 d.mix(v.tag);
                 d.mix(u64::from(v.sub_block));
@@ -971,6 +979,7 @@ impl DramCacheScheme for BiModalCache {
         }
 
         let set_idx = self.amap.set_of(access.addr);
+        let set = usize::try_from(set_idx).expect("set fits usize");
         let tag = self.amap.tag_of(access.addr);
         let sub = self.amap.sub_block_of(access.addr);
         let data_loc = self.layout.set_location(set_idx);
@@ -1001,9 +1010,7 @@ impl DramCacheScheme for BiModalCache {
             // spending the data access. The locator never mispredicts by
             // construction, but an injected soft error can corrupt its way
             // field: a poisoned hint must cost latency, never correctness.
-            let resident = self.sets[usize::try_from(set_idx).expect("set fits usize")]
-                .lookup(tag, sub)
-                == Some(way);
+            let resident = self.sets.lookup(set, tag, sub) == Some(way);
             if resident {
                 self.stats.locator_hits += 1;
                 let start = access.now + self.wl_cycles;
@@ -1022,8 +1029,7 @@ impl DramCacheScheme for BiModalCache {
                     anatomy::add(Component::Locator, self.wl_cycles);
                     anatomy::charge_dram(Component::DataBurst);
                 }
-                let set = &mut self.sets[usize::try_from(set_idx).expect("set fits usize")];
-                set.touch(way, sub, access.is_write());
+                self.sets.touch(set, way, sub, access.is_write());
                 if access.is_write() {
                     // Dirty-bit metadata update, off the critical path.
                     let md_loc = self.metadata.metadata_location(set_idx, data_loc);
@@ -1089,9 +1095,7 @@ impl DramCacheScheme for BiModalCache {
         };
         let span_tag = span::enter(SpanId::TagRead);
         let md_loc = self.metadata.metadata_location(set_idx, data_loc);
-        let set_ways = self.sets[usize::try_from(set_idx).expect("set fits usize")]
-            .state()
-            .ways();
+        let set_ways = self.sets.state(set).ways();
         // TDRAM-style substrates return tag+data in one burst: widen the
         // tag read by the candidate block so a read hit needs no second
         // column access (a miss pays the wasted wider burst).
@@ -1131,7 +1135,7 @@ impl DramCacheScheme for BiModalCache {
             self.scrub_set(set_idx, md_comp.done, mem);
         }
 
-        let hit_way = self.sets[usize::try_from(set_idx).expect("set fits usize")].lookup(tag, sub);
+        let hit_way = self.sets.lookup(set, tag, sub);
 
         if let Some(way) = hit_way {
             // --------------------------- cache hit after DRAM tag check
@@ -1166,8 +1170,7 @@ impl DramCacheScheme for BiModalCache {
                 }
                 anatomy::add(Component::TagProbe, self.tag_compare_cycles);
             }
-            let set = &mut self.sets[usize::try_from(set_idx).expect("set fits usize")];
-            set.touch(way, sub, access.is_write());
+            self.sets.touch(set, way, sub, access.is_write());
             if let Some(wl) = self.way_locator.as_mut() {
                 wl.insert(access.addr, way.size, way.index);
             }
@@ -1304,8 +1307,8 @@ impl DramCacheScheme for BiModalCache {
         let subs = self.geometry.sub_blocks();
         let small = u64::from(self.geometry.small_block);
         let mut wasted = 0u64;
-        for set in &self.sets {
-            for v in set.residents() {
+        for set in 0..self.sets.len() {
+            for v in self.sets.residents(set) {
                 wasted += u64::from(v.unreferenced_sub_blocks(subs)) * small;
             }
         }
@@ -1362,14 +1365,7 @@ impl DramCacheScheme for BiModalCache {
                 )))
             }
         }
-        let sets: Vec<BiModalSet> = Snapshot::load(r)?;
-        if sets.len() != self.sets.len() {
-            return Err(r.corrupt(format!(
-                "checkpoint has {} sets, geometry expects {}",
-                sets.len(),
-                self.sets.len()
-            )));
-        }
+        let sets = SetArena::load(&self.geometry, r)?;
         let has_locator = r.u8()? == 1;
         if has_locator != self.way_locator.is_some() {
             return Err(bimodal_ckpt::CkptError::Mismatch {
@@ -1453,6 +1449,36 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         use crate::FaultTarget;
         assert_eq!(a.contents_digest(), b.contents_digest());
+    }
+
+    #[test]
+    fn restore_rejects_set_snapshots_the_geometry_cannot_hold() {
+        let (a, _) = small_cache();
+        let mut w = bimodal_ckpt::SnapshotWriter::new();
+        DramCacheScheme::save_state(&a, &mut w);
+        let pristine = w.into_bytes();
+        // Stateful marker (1 byte) and set count (8 bytes), then set 0's
+        // state (X, Y), associativity and ratio.
+        assert_eq!(&pristine[9..13], &[4, 0, 4, 8]);
+        // Loading (4, 200) over 16 small slots would send the first probe
+        // of set 0 past the end of its small ways.
+        for (offset, value, expected) in [
+            (10, 200, "set 0 has state (4, 200)"),
+            (9, 1, "set 0 has state (1, 0)"),
+            (11, 8, "set 0 has associativity 8 and ratio 8"),
+            (12, 16, "set 0 has associativity 4 and ratio 16"),
+        ] {
+            let mut bytes = pristine.clone();
+            bytes[offset] = value;
+            let (mut b, _) = small_cache();
+            let mut r = bimodal_ckpt::SnapshotReader::new(&bytes, "scheme");
+            match b.restore_state(&mut r) {
+                Err(bimodal_ckpt::CkptError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(expected), "{detail}");
+                }
+                other => panic!("expected a Corrupt error naming set 0, got {other:?}"),
+            }
+        }
     }
 
     #[test]

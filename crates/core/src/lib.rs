@@ -16,8 +16,8 @@
 //!   utilization measurement driving big/small fill decisions,
 //! * [`GlobalMixController`] — the cache-wide `(X_glob, Y_glob)` demand
 //!   adaptation,
-//! * [`BiModalSet`] — a single bi-modal set with the Table II replacement
-//!   rules,
+//! * [`SetArena`] — every bi-modal set of a cache in flat arrays, with
+//!   the Table II replacement rules,
 //! * [`CacheGeometry`], [`DataLayout`], [`MetadataLayout`] — address
 //!   decomposition and the placement of sets and metadata on stacked DRAM,
 //! * [`FunctionalCache`] — a fast tag-only model for hit-rate and
@@ -67,7 +67,7 @@ pub use miss_predictor::MissPredictor;
 pub use predictor::{BlockSizePredictor, PredictorConfig, UtilizationTracker};
 pub use resilience::{random_tag_xor, ContentsDigest, EccLedger, FaultTarget, MetadataFault};
 pub use scheme::{AccessKind, AccessOutcome, CacheAccess, DramCacheScheme};
-pub use set::{BiModalSet, InsertOutcome, Victim, WayRef};
+pub use set::{InsertOutcome, SetArena, Victim, WayRef};
 pub use sram::SramModel;
 pub use stats::{LatencyBreakdown, SchemeStats};
 pub use way_locator::{WayLocator, WayLocatorConfig, WayLocatorEntry};

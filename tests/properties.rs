@@ -8,9 +8,9 @@
 use std::collections::{HashMap, HashSet};
 
 use bimodal::cache::{
-    BiModalSet, BlockSize, BlockSizePredictor, CacheAccess, CacheGeometry, DataLayout,
-    FunctionalCache, FunctionalConfig, MetadataLayout, MetadataPlacement, PredictorConfig,
-    SetState, WayLocator, WayLocatorConfig,
+    BlockSize, BlockSizePredictor, CacheAccess, CacheGeometry, DataLayout, FunctionalCache,
+    FunctionalConfig, MetadataLayout, MetadataPlacement, PredictorConfig, SetArena, SetState,
+    WayLocator, WayLocatorConfig,
 };
 use bimodal::dram::{
     AddressMapping, BackendKind, DeferredOp, DeferredQueue, DramConfig, DramModule, Location,
@@ -85,7 +85,8 @@ fn set_occupancy_and_state_invariants() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = geometry();
         let allowed = g.allowed_states();
-        let mut set = BiModalSet::new(&g);
+        let mut sets = SetArena::new(&g);
+        let set = 0;
         for _ in 0..400 {
             let tag = rng.gen_range(0u64..64);
             let sub = rng.gen_range(0u8..8);
@@ -96,14 +97,16 @@ fn set_occupancy_and_state_invariants() {
             } else {
                 BlockSize::Small
             };
-            if set.lookup(tag, sub).is_none() {
-                let _ = set.insert(size, tag, sub, global, &mut |n| (tag % u64::from(n)) as u8);
+            if let Some(way) = sets.lookup(set, tag, sub) {
+                sets.touch(set, way, sub, big);
             } else {
-                set.touch(set.lookup(tag, sub).expect("present"), sub, big);
+                let _ = sets.insert(set, size, tag, sub, global, &mut |n| {
+                    (tag % u64::from(n)) as u8
+                });
             }
-            let st = set.state();
+            let st = sets.state(set);
             assert!(allowed.contains(&st), "illegal state {st} (seed {seed})");
-            assert!(set.occupancy() <= usize::from(st.big) + usize::from(st.small));
+            assert!(sets.occupancy(set) <= usize::from(st.big) + usize::from(st.small));
             // Space conservation: big ways + small ways never exceed the
             // set's byte budget.
             let bytes = u32::from(st.big) * g.big_block + u32::from(st.small) * g.small_block;
@@ -118,7 +121,8 @@ fn inserted_blocks_are_findable() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = geometry();
-        let mut set = BiModalSet::new(&g);
+        let mut sets = SetArena::new(&g);
+        let set = 0;
         let global = SetState { big: 3, small: 8 };
         for _ in 0..200 {
             let tag = rng.gen_range(0u64..32);
@@ -129,9 +133,9 @@ fn inserted_blocks_are_findable() {
             } else {
                 BlockSize::Small
             };
-            if set.lookup(tag, sub).is_none() {
-                let out = set.insert(size, tag, sub, global, &mut |_| 0);
-                assert_eq!(set.lookup(tag, sub), Some(out.way), "seed {seed}");
+            if sets.lookup(set, tag, sub).is_none() {
+                let out = sets.insert(set, size, tag, sub, global, &mut |_| 0);
+                assert_eq!(sets.lookup(set, tag, sub), Some(out.way), "seed {seed}");
             }
         }
     }
