@@ -1482,6 +1482,92 @@ fn kill_mid_run_then_resume_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Pins the checkpoint wire format: `tests/golden/ckpt_q1_alloy_1mb.bin`
+/// was written by an earlier build, so this binary must resume it to the
+/// uninterrupted report and must write the same bytes again. Regenerate
+/// it only for a deliberate format change:
+///
+/// ```text
+/// bimodal run --mix Q1 --scheme alloy --accesses 2000 --cache-mb 1 --seed 7 \
+///     --json "$(mktemp)" --checkpoint tests/golden/ckpt_q1_alloy_1mb.bin \
+///     --checkpoint-every 3000
+/// rm tests/golden/ckpt_q1_alloy_1mb.bin.prev
+/// ```
+#[test]
+fn golden_checkpoint_resumes_and_is_rewritten_byte_for_byte() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ckpt_q1_alloy_1mb.bin");
+    let dir = std::env::temp_dir().join(format!("bimodal-cli-golden-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let ck = dir.join("run.ckpt");
+    let reference = dir.join("reference.json");
+    let resumed = dir.join("resumed.json");
+    let args = |json: &std::path::Path| {
+        vec![
+            "run".to_owned(),
+            "--mix".to_owned(),
+            "Q1".to_owned(),
+            "--scheme".to_owned(),
+            "alloy".to_owned(),
+            "--accesses".to_owned(),
+            "2000".to_owned(),
+            "--cache-mb".to_owned(),
+            "1".to_owned(),
+            "--seed".to_owned(),
+            "7".to_owned(),
+            "--json".to_owned(),
+            json.display().to_string(),
+        ]
+    };
+    let out = bimodal()
+        .args(args(&reference))
+        .args(["--checkpoint", &ck.display().to_string()])
+        .args(["--checkpoint-every", "3000"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "checkpointed run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read(&ck).expect("checkpoint written");
+    let golden = std::fs::read(&fixture).expect("fixture readable");
+    let first_diff = written.iter().zip(&golden).position(|(a, b)| a != b);
+    assert!(
+        written == golden,
+        "checkpoint bytes drifted from the fixture: {} vs {} bytes, first difference at {first_diff:?}",
+        written.len(),
+        golden.len()
+    );
+    let out = bimodal()
+        .args(args(&resumed))
+        .args(["--resume", &fixture.display().to_string()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "resume from the fixture failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = bimodal()
+        .args([
+            "diff",
+            &reference.display().to_string(),
+            &resumed.display().to_string(),
+            "--exact",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "report resumed from the fixture drifted from the uninterrupted run:\nstdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn inject_pool_survives_a_panicking_unit() {
     // One wrecked unit must not sink the campaign: the pool retries it,
