@@ -1,6 +1,8 @@
-//! The DRAM module: banks, buses, refresh, and FR-FCFS scheduling.
-
-use std::collections::VecDeque;
+//! The DRAM module: banks, buses and refresh.
+//!
+//! Requests are served in call order: each call resolves against the
+//! bank, rank and bus state the earlier calls left behind, reusing an
+//! open row when it can. There is no request queue and no scheduler.
 
 use bimodal_obs::{anatomy, BandwidthTracker, TrafficClass};
 
@@ -21,27 +23,9 @@ pub struct OpenRowOutcome {
     pub row_event: RowEvent,
 }
 
-/// Identifier for a request submitted to the FR-FCFS queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReqId(u64);
-
-#[derive(Debug)]
-struct Pending {
-    id: u64,
-    req: Request,
-}
-
 /// A DRAM module: a set of channels/ranks/banks behind per-channel data
-/// buses, scheduled with FR-FCFS (row hits first, then oldest first) under
-/// an open-page policy.
-///
-/// Two usage styles are supported:
-///
-/// * [`DramModule::access`] — resolve a single request immediately
-///   (first-come-first-served with respect to earlier calls).
-/// * [`DramModule::submit`] + [`DramModule::resolve`] — queue several
-///   outstanding requests and let the FR-FCFS scheduler pick the service
-///   order, as a real memory controller command queue would.
+/// buses under an open-page policy. Each call is served when it is made,
+/// first-come-first-served with respect to earlier calls.
 #[derive(Debug)]
 pub struct DramModule {
     config: DramConfig,
@@ -58,9 +42,6 @@ pub struct DramModule {
     rank_activates: Vec<([Cycle; 4], u8)>,
     bus_free_at: Vec<Cycle>,
     refresh_stalls: u64,
-    queue: VecDeque<Pending>,
-    done: Vec<(u64, Completion)>,
-    next_id: u64,
     /// Traffic class the next command is attributed to; set by the
     /// issuing scheme via [`DramModule::set_class`] before each access.
     class: TrafficClass,
@@ -72,6 +53,11 @@ pub struct DramModule {
     deferred_mode: bool,
     bandwidth: BandwidthTracker,
 }
+
+/// The retired FR-FCFS request queue's fields, still part of the
+/// checkpoint layout: each is written as 0 so checkpoint bytes are
+/// unchanged, and a non-zero value on load is corruption.
+const LEGACY_QUEUE_FIELDS: [&str; 3] = ["queue length", "done length", "next_id"];
 
 impl DramModule {
     /// Creates a module from a validated configuration.
@@ -97,9 +83,6 @@ impl DramModule {
             ],
             bus_free_at: vec![0; config.channels as usize],
             refresh_stalls: 0,
-            queue: VecDeque::new(),
-            done: Vec::new(),
-            next_id: 0,
             class: TrafficClass::Other,
             deferred_mode: false,
             bandwidth: BandwidthTracker::new(config.channels as usize, n_banks),
@@ -354,7 +337,7 @@ impl DramModule {
         }
     }
 
-    /// Services one request immediately (submit + resolve in one step).
+    /// Services one request immediately.
     pub fn access(&mut self, req: Request) -> Completion {
         let idx = self.bank_index(req.loc);
         // Probe refresh at the time service could actually begin: a
@@ -380,66 +363,6 @@ impl DramModule {
             row_event: prep.event,
             ..completion
         }
-    }
-
-    /// Queues a request for FR-FCFS scheduling; resolve it with
-    /// [`DramModule::resolve`].
-    pub fn submit(&mut self, req: Request) -> ReqId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.queue.push_back(Pending { id, req });
-        ReqId(id)
-    }
-
-    /// Number of requests waiting in the scheduling queue.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Resolves a previously submitted request, servicing queued requests
-    /// in FR-FCFS order (row hits first, oldest first) until the target has
-    /// been serviced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never submitted or was already resolved and
-    /// retrieved.
-    pub fn resolve(&mut self, id: ReqId) -> Completion {
-        loop {
-            if let Some(pos) = self.done.iter().position(|(d, _)| *d == id.0) {
-                return self.done.swap_remove(pos).1;
-            }
-            let pick = self.pick_fr_fcfs();
-            let Some(pos) = pick else {
-                panic!("request {id:?} is not pending in the DRAM queue");
-            };
-            let pending = self.queue.remove(pos).expect("picked index is valid");
-            let completion = self.access(pending.req);
-            self.done.push((pending.id, completion));
-        }
-    }
-
-    /// FR-FCFS policy: among queued requests, prefer the oldest one whose
-    /// row is currently open in its bank; otherwise take the oldest.
-    fn pick_fr_fcfs(&self) -> Option<usize> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let mut best_hit: Option<(usize, Cycle)> = None;
-        let mut best_any: Option<(usize, Cycle)> = None;
-        for (i, p) in self.queue.iter().enumerate() {
-            let idx = self.bank_index(p.req.loc);
-            let arrival = p.req.arrival;
-            if self.banks[idx].would_hit(p.req.loc.row) && best_hit.is_none_or(|(_, a)| arrival < a)
-            {
-                best_hit = Some((i, arrival));
-            }
-            if best_any.is_none_or(|(_, a)| arrival < a) {
-                best_any = Some((i, arrival));
-            }
-        }
-        best_hit.or(best_any).map(|(i, _)| i)
     }
 
     /// Would a request to `loc` currently hit the row buffer?
@@ -492,8 +415,8 @@ impl DramModule {
         self.bandwidth.reset();
     }
 
-    /// Serializes the module's mutable state (banks, stats, queues,
-    /// bandwidth accounting). The geometry and timing configuration are
+    /// Serializes the module's mutable state (banks, stats, bandwidth
+    /// accounting). The geometry and timing configuration are
     /// not written: a checkpoint is restored into a module freshly built
     /// from the same experiment configuration.
     pub fn save_state(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
@@ -505,13 +428,9 @@ impl DramModule {
         self.rank_activates.save(w);
         self.bus_free_at.save(w);
         w.u64(self.refresh_stalls);
-        w.usize(self.queue.len());
-        for p in &self.queue {
-            w.u64(p.id);
-            p.req.save(w);
+        for _ in LEGACY_QUEUE_FIELDS {
+            w.u64(0);
         }
-        self.done.save(w);
-        w.u64(self.next_id);
         self.class.save(w);
         self.bandwidth.save(w);
     }
@@ -551,15 +470,14 @@ impl DramModule {
             )));
         }
         let refresh_stalls = r.u64()?;
-        let queue_len = r.bounded_len()?;
-        let mut queue = VecDeque::with_capacity(queue_len);
-        for _ in 0..queue_len {
-            let id = r.u64()?;
-            let req: Request = Snapshot::load(r)?;
-            queue.push_back(Pending { id, req });
+        for field in LEGACY_QUEUE_FIELDS {
+            let v = r.u64()?;
+            if v != 0 {
+                return Err(r.corrupt(format!(
+                    "legacy FR-FCFS {field} is {v}; only an empty queue loads"
+                )));
+            }
         }
-        let done: Vec<(u64, Completion)> = Snapshot::load(r)?;
-        let next_id = r.u64()?;
         let class: TrafficClass = Snapshot::load(r)?;
         let bandwidth: BandwidthTracker = Snapshot::load(r)?;
         if bandwidth.channels().len() != self.config.channels as usize
@@ -574,9 +492,6 @@ impl DramModule {
         self.rank_activates = rank_activates;
         self.bus_free_at = bus_free_at;
         self.refresh_stalls = refresh_stalls;
-        self.queue = queue;
-        self.done = done;
-        self.next_id = next_id;
         self.class = class;
         self.bandwidth = bandwidth;
         Ok(())
@@ -669,38 +584,38 @@ mod tests {
     }
 
     #[test]
-    fn fr_fcfs_prefers_row_hit_over_older_conflict() {
+    fn load_rejects_a_non_empty_legacy_queue() {
+        use bimodal_ckpt::{CkptError, Snapshot, SnapshotReader, SnapshotWriter};
         let mut m = DramModule::new(no_refresh_config());
-        // Open row 1 in bank 0.
         m.access(Request::read(loc(0, 1), 64, 0));
-        // Older request conflicts (row 2), newer one hits (row 1).
-        let miss = m.submit(Request::read(loc(0, 2), 64, 10_000));
-        let hit = m.submit(Request::read(loc(0, 1), 64, 10_001));
-        let hit_done = m.resolve(hit);
-        let miss_done = m.resolve(miss);
-        assert_eq!(hit_done.row_event, RowEvent::Hit);
-        // The hit was serviced first even though it arrived later.
-        assert!(hit_done.done < miss_done.done);
-    }
-
-    #[test]
-    fn fr_fcfs_falls_back_to_oldest_first() {
-        let mut m = DramModule::new(no_refresh_config());
-        let a = m.submit(Request::read(loc(0, 1), 64, 100));
-        let b = m.submit(Request::read(loc(0, 2), 64, 50));
-        let ca = m.resolve(a);
-        let cb = m.resolve(b);
-        // b is older, so it went first.
-        assert!(cb.start <= ca.start);
-    }
-
-    #[test]
-    #[should_panic(expected = "not pending")]
-    fn resolving_unknown_request_panics() {
-        let mut m = DramModule::new(no_refresh_config());
-        let id = m.submit(Request::read(loc(0, 1), 64, 0));
-        let _ = m.resolve(id);
-        let _ = m.resolve(id); // second resolve: already retrieved
+        let mut w = SnapshotWriter::new();
+        m.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // The legacy fields sit just before the class and bandwidth tail.
+        let mut tail = SnapshotWriter::new();
+        m.class.save(&mut tail);
+        m.bandwidth.save(&mut tail);
+        let start = bytes.len() - tail.into_bytes().len() - 8 * LEGACY_QUEUE_FIELDS.len();
+        let load = |bytes: &[u8]| {
+            let mut fresh = DramModule::new(no_refresh_config());
+            fresh
+                .load_state(&mut SnapshotReader::new(bytes, "mem"))
+                .map(|()| fresh)
+        };
+        for (i, field) in LEGACY_QUEUE_FIELDS.iter().enumerate() {
+            let mut edited = bytes.clone();
+            edited[start + 8 * i..start + 8 * (i + 1)].copy_from_slice(&1u64.to_le_bytes());
+            match load(&edited) {
+                Err(CkptError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(field), "{field}: {detail}");
+                }
+                other => panic!("{field}: expected a Corrupt error, got {other:?}"),
+            }
+        }
+        let fresh = load(&bytes).expect("the empty legacy queue loads");
+        let mut again = SnapshotWriter::new();
+        fresh.save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! This crate implements the memory substrate used by the Bi-Modal DRAM
 //! cache reproduction: a configurable DRAM module (channels, ranks, banks,
-//! row buffers) with open-page policy, FR-FCFS request scheduling, refresh,
-//! and data-bus occupancy, plus an off-chip main-memory wrapper with
-//! row-rank-bank-mc-column address interleaving.
+//! row buffers) with open-page policy, refresh, and data-bus occupancy,
+//! plus an off-chip main-memory wrapper with row-rank-bank-mc-column
+//! address interleaving.
 //!
 //! The model is *transaction level*: each request is resolved into a
 //! completion time by walking the bank/bus resource state (precharge,
@@ -13,6 +13,10 @@
 //! abstraction the paper's own trace-driven design-space simulator uses and
 //! it faithfully reproduces row-buffer-hit-rate, bank-conflict and
 //! bandwidth effects.
+//!
+//! Requests are served in call order, reusing a row left open by an
+//! earlier request; there is no request queue and no scheduler that
+//! reorders them.
 //!
 //! # Example
 //!
