@@ -61,7 +61,6 @@ pub struct Simulation {
     system: SystemConfig,
     kind: SchemeKind,
     prefetch: Option<(u32, PrefetchMode)>,
-    shards: u32,
 }
 
 impl Simulation {
@@ -72,7 +71,6 @@ impl Simulation {
             system,
             kind,
             prefetch: None,
-            shards: 1,
         }
     }
 
@@ -80,19 +78,6 @@ impl Simulation {
     #[must_use]
     pub fn with_prefetch(mut self, n: u32, mode: PrefetchMode) -> Self {
         self.prefetch = Some((n, mode));
-        self
-    }
-
-    /// Spreads trace decode over `shards` worker threads. Reports stay
-    /// bit-identical to the serial path for any value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        assert!(shards > 0, "need at least one decode shard");
-        self.shards = shards;
         self
     }
 
@@ -114,19 +99,14 @@ impl Simulation {
     /// reproduce the exact run and layer hooks or a watchdog on top.
     #[must_use]
     pub fn engine_options(&self, accesses_per_core: u64) -> EngineOptions {
-        let mut o = EngineOptions {
+        EngineOptions {
             accesses_per_core,
             warmup_per_core: self.system.warmup_per_core,
-            prefetch: None,
+            prefetch: self.prefetch,
             mlp: self.system.mlp,
             llsc: None,
             watchdog: None,
-            shards: self.shards,
-        };
-        if let Some((n, mode)) = self.prefetch {
-            o = o.with_prefetch(n, mode);
         }
-        o
     }
 
     /// The adaptation epoch [`Simulation::build_scheme`] tunes the scheme
@@ -421,21 +401,6 @@ mod tests {
         let parallel = sim.run_antt_jobs(&mix, 300, 4).expect("runs");
         assert_eq!(serial.slowdowns, parallel.slowdowns);
         assert_eq!(serial.antt().to_bits(), parallel.antt().to_bits());
-    }
-
-    #[test]
-    fn sharded_run_mix_is_bit_identical_to_serial() {
-        let mix = WorkloadMix::quad("Q1").expect("known");
-        let serial = Simulation::new(quick_system(), SchemeKind::BiModal)
-            .run_mix(&mix, 400)
-            .expect("runs");
-        let sharded = Simulation::new(quick_system(), SchemeKind::BiModal)
-            .with_shards(3)
-            .run_mix(&mix, 400)
-            .expect("runs");
-        assert_eq!(serial.scheme, sharded.scheme);
-        assert_eq!(serial.core_cycles, sharded.core_cycles);
-        assert_eq!(serial.cache_dram, sharded.cache_dram);
     }
 
     #[test]

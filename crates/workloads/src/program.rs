@@ -425,9 +425,12 @@ impl ProgramTrace {
         let u: f64 = self.rng.gen_range(0.0_f64..1.0).max(1e-9);
         (-mean * u.ln()).min(mean * 8.0) as u64
     }
+}
 
-    #[inline]
-    fn next_access(&mut self) -> Access {
+impl Iterator for ProgramTrace {
+    type Item = Access;
+
+    fn next(&mut self) -> Option<Access> {
         if self.pending_pos == self.pending.len() {
             self.pending.clear();
             self.pending_pos = 0;
@@ -437,32 +440,11 @@ impl ProgramTrace {
         self.pending_pos += 1;
         let is_write = self.rng.gen_bool(self.spec.write_fraction);
         let gap = self.sample_gap();
-        Access {
+        Some(Access {
             addr,
             is_write,
             gap,
-        }
-    }
-
-    /// Decodes the next `n` accesses into `out` in one batch.
-    ///
-    /// Draws exactly the same PRNG sequence as `n` calls to `next`, so a
-    /// block-decoded stream is access-for-access identical to the
-    /// one-at-a-time stream — the property the sharded engine's
-    /// bit-identity guarantee rests on.
-    pub fn next_block(&mut self, n: usize, out: &mut Vec<Access>) {
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.next_access());
-        }
-    }
-}
-
-impl Iterator for ProgramTrace {
-    type Item = Access;
-
-    fn next(&mut self) -> Option<Access> {
-        Some(self.next_access())
+        })
     }
 }
 
@@ -518,32 +500,25 @@ mod tests {
     }
 
     #[test]
-    fn block_decode_matches_one_at_a_time() {
-        let mut blocked = spec().trace(7, 0);
-        let mut buf = Vec::new();
-        // Ragged block sizes so boundaries land mid-region-visit.
-        for n in [1usize, 7, 64, 3, 512, 113] {
-            blocked.next_block(n, &mut buf);
-        }
-        let serial: Vec<_> = spec().trace(7, 0).take(buf.len()).collect();
-        assert_eq!(buf, serial);
-    }
-
-    #[test]
     fn snapshot_mid_block_resumes_identically() {
         // Save while the pending cursor sits mid-buffer: the snapshot must
         // carry only the unconsumed tail and resume access-for-access.
         let mut t = spec().trace(9, 0);
-        let mut buf = Vec::new();
-        t.next_block(777, &mut buf);
+        t.by_ref().take(777).for_each(drop);
+        for _ in 0..10_000 {
+            if t.pending_pos < t.pending.len() {
+                break;
+            }
+            t.next();
+        }
+        assert!(t.pending_pos < t.pending.len(), "no multi-line visit found");
         let mut w = SnapshotWriter::new();
         t.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = spec().trace(9, 0);
         let mut r = SnapshotReader::new(&bytes, "traces");
         fresh.load_state(&mut r).unwrap();
-        let mut a = Vec::new();
-        t.next_block(500, &mut a);
+        let a: Vec<_> = t.take(500).collect();
         let b: Vec<_> = fresh.take(500).collect();
         assert_eq!(a, b);
     }

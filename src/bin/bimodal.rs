@@ -36,13 +36,12 @@ fn usage() -> &'static str {
      \x20         [--backend B]\n\
      \x20         [--warmup N] [--mlp N] [--prefetch N[:bypass]] [--profile]\n\
      \x20         [--anatomy] [--journeys N]\n\
-     \x20         [--shards N] [--json FILE] [--trace-out FILE] [--epoch CYCLES]\n\
+     \x20         [--json FILE] [--trace-out FILE] [--epoch CYCLES]\n\
      \x20         [--heartbeat SECS] [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]\n\
      \x20 compare --mix <M> [--accesses N] [--cache-mb C] [--seed K] [--jobs N]\n\
      \x20         [--backend B]\n\
-     \x20         [--warmup N] [--mlp N] [--prefetch N[:bypass]] [--shards N]\n\
-     \x20         [--json FILE]\n\
+     \x20         [--warmup N] [--mlp N] [--prefetch N[:bypass]] [--json FILE]\n\
      \x20         [--heartbeat SECS] [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--manifest DIR] [--checkpoint FILE [--checkpoint-every N]]\n\
      \x20         [--resume FILE]\n\
@@ -60,7 +59,7 @@ fn usage() -> &'static str {
      \x20         [--jobs N] [--json FILE] [--trace-out FILE]\n\
      \x20         [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--manifest DIR] [--retries N] [--retry-backoff-ms MS]\n\
-     \x20 bench   [--quick] [--backend B] [--jobs N] [--shards N] [--min-speedup X] [--out FILE]\n\
+     \x20 bench   [--quick] [--backend B] [--jobs N] [--min-speedup X] [--out FILE]\n\
      \x20         [--history FILE] [--check-history] [--window N] [--max-regress PCT]\n\
      \x20 bandwidth --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--cache-mb C]\n\
      \x20         [--seed K] [--jobs N] [--json FILE]\n\
@@ -83,10 +82,6 @@ fn usage() -> &'static str {
      parallelism:\n\
      \x20 --jobs N          worker threads for fanned runs (default: all cores;\n\
      \x20                   results are bit-identical for any N)\n\
-     \x20 --shards N        decode shards inside one run: per-core trace streams\n\
-     \x20                   are pre-decoded in blocks on N worker threads and\n\
-     \x20                   consumed in serial order, so reports are bit-identical\n\
-     \x20                   for any N (default 1; `auto` uses all cores)\n\
      \x20 --seeds N         inject: fan the campaign over N consecutive seeds\n\
      \n\
      crash safety:\n\
@@ -266,6 +261,10 @@ fn configured_system(
         let mb: u64 = mb
             .parse()
             .map_err(|_| "--cache-mb must be a number".to_owned())?;
+        // Cache geometries index sets with address bits.
+        if !mb.is_power_of_two() {
+            return Err(format!("--cache-mb must be a power of two (got {mb})"));
+        }
         system = system.with_cache_mb(mb);
     }
     if let Some(seed) = flags.get("seed") {
@@ -302,6 +301,9 @@ fn parse_prefetch(flags: &HashMap<String, String>) -> Result<Option<(u32, Prefet
     let n: u32 = n
         .parse()
         .map_err(|_| "--prefetch must be N or N:bypass".to_owned())?;
+    if n == 0 {
+        return Err("--prefetch depth must be at least 1".to_owned());
+    }
     let mode = match mode.to_ascii_lowercase().as_str() {
         "normal" => PrefetchMode::Normal,
         "bypass" => PrefetchMode::Bypass,
@@ -322,25 +324,12 @@ fn parse_jobs(flags: &HashMap<String, String>) -> Result<usize, String> {
     }
 }
 
-/// `--shards N` (intra-run decode shards); absent means 1 (serial
-/// decode), `auto` means the host's available parallelism.
-fn parse_shards(flags: &HashMap<String, String>) -> Result<u32, String> {
-    match flags.get("shards").map(String::as_str) {
-        None => Ok(1),
-        Some("auto") => Ok(u32::try_from(bimodal::exec::available_jobs()).unwrap_or(1)),
-        Some(v) => match v.parse::<u32>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err("--shards must be a positive number or 'auto'".to_owned()),
-        },
-    }
-}
-
 fn build_simulation(
     system: SystemConfig,
     kind: SchemeKind,
     flags: &HashMap<String, String>,
 ) -> Result<Simulation, String> {
-    let mut sim = Simulation::new(system, kind).with_shards(parse_shards(flags)?);
+    let mut sim = Simulation::new(system, kind);
     if let Some((n, mode)) = parse_prefetch(flags)? {
         sim = sim.with_prefetch(n, mode);
     }
@@ -1530,7 +1519,6 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let opts = bimodal::selfbench::BenchOptions {
         quick: flag_bool(flags, "quick")?,
         jobs: parse_jobs(flags)?,
-        shards: parse_shards(flags)?,
         backend: match flags.get("backend") {
             Some(b) => BackendKind::parse(b)?,
             None => BackendKind::default(),
@@ -1576,19 +1564,6 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
             "{:18} {:>12} {:>10.3} {:>14.0}",
             s.scheme, s.accesses, s.secs, s.accesses_per_sec
         );
-    }
-    if !report.sharded_schemes.is_empty() {
-        println!();
-        println!(
-            "{:18} {:>12} {:>10} {:>14}   (--shards {})",
-            "scheme", "accesses", "secs", "accesses/sec", report.shards
-        );
-        for s in &report.sharded_schemes {
-            println!(
-                "{:18} {:>12} {:>10.3} {:>14.0}",
-                s.scheme, s.accesses, s.secs, s.accesses_per_sec
-            );
-        }
     }
     let path = flags
         .get("out")
@@ -2343,7 +2318,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "warmup",
         "mlp",
         "prefetch",
-        "shards",
         "json",
         "trace-out",
         "stream",
@@ -2405,7 +2379,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "warmup",
         "mlp",
         "prefetch",
-        "shards",
         "jobs",
         "json",
         "heartbeat",
@@ -2446,7 +2419,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "quick",
         "backend",
         "jobs",
-        "shards",
         "min-speedup",
         "out",
         "history",

@@ -25,10 +25,6 @@ pub struct BenchOptions {
     pub quick: bool,
     /// Worker threads for the parallel passes.
     pub jobs: usize,
-    /// Intra-run decode shards; above 1, a second per-scheme throughput
-    /// pass runs with the sharded decode pipeline so the sharded path has
-    /// its own trendline alongside serial.
-    pub shards: u32,
     /// Memory-substrate backend the timed runs execute on. Non-default
     /// backends get their own history keys (`<scheme>@<backend>`), so
     /// substrate trendlines never mix with the paper-default ones.
@@ -88,11 +84,6 @@ pub struct BenchReport {
     pub workloads: Vec<WorkloadTiming>,
     /// Per-scheme simulation throughput on the compare workload.
     pub schemes: Vec<SchemeRate>,
-    /// Decode shards the sharded pass used (1 = pass skipped).
-    pub shards: u32,
-    /// Per-scheme throughput with `--shards` decode; empty when the
-    /// sharded pass was skipped.
-    pub sharded_schemes: Vec<SchemeRate>,
     /// Memory-substrate backend the measurement ran on.
     pub backend: BackendKind,
 }
@@ -123,20 +114,6 @@ impl BenchReport {
     /// ```
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let rates = |list: &[SchemeRate]| {
-            Json::Arr(
-                list.iter()
-                    .map(|s| {
-                        let mut o = Json::object();
-                        o.set("scheme", s.scheme.as_str())
-                            .set("accesses", s.accesses)
-                            .set("secs", s.secs)
-                            .set("accesses_per_sec", s.accesses_per_sec);
-                        o
-                    })
-                    .collect(),
-            )
-        };
         let mut j = Json::object();
         j.set("schema", "bimodal-bench-v1")
             .set("date", self.date.as_str())
@@ -144,7 +121,6 @@ impl BenchReport {
             .set("host_parallelism", self.host_parallelism as u64)
             .set("jobs", self.jobs as u64)
             .set("quick", self.quick)
-            .set("shards", u64::from(self.shards))
             .set(
                 "workloads",
                 Json::Arr(
@@ -169,10 +145,22 @@ impl BenchReport {
                         .collect(),
                 ),
             )
-            .set("schemes", rates(&self.schemes));
-        if !self.sharded_schemes.is_empty() {
-            j.set("sharded_schemes", rates(&self.sharded_schemes));
-        }
+            .set(
+                "schemes",
+                Json::Arr(
+                    self.schemes
+                        .iter()
+                        .map(|s| {
+                            let mut o = Json::object();
+                            o.set("scheme", s.scheme.as_str())
+                                .set("accesses", s.accesses)
+                                .set("secs", s.secs)
+                                .set("accesses_per_sec", s.accesses_per_sec);
+                            o
+                        })
+                        .collect(),
+                ),
+            );
         j
     }
 }
@@ -234,14 +222,6 @@ impl BenchReport {
         let mut schemes = Json::object();
         for s in &self.schemes {
             schemes.set(format!("{}{tag}", s.scheme).as_str(), s.accesses_per_sec);
-        }
-        // Sharded rates ride along under distinct keys so the trendline
-        // gate tracks the sharded decode path independently of serial.
-        for s in &self.sharded_schemes {
-            schemes.set(
-                format!("{}{tag}@shards{}", s.scheme, self.shards).as_str(),
-                s.accesses_per_sec,
-            );
         }
         let mut j = Json::object();
         j.set("schema", "bimodal-bench-history-v1")
@@ -395,36 +375,21 @@ pub fn run(opts: &BenchOptions) -> BenchReport {
     // -------- compare: every scheme on the standard Q-mix, timed run.
     let accesses = if opts.quick { 3_000 } else { 20_000 };
     let (mix, system) = compare_setup(opts.backend);
-    let run_compare = |jobs: usize, shards: u32| -> Vec<(String, u64, f64)> {
+    let run_compare = |jobs: usize| -> Vec<(String, u64, f64)> {
         bimodal_exec::map(jobs, SchemeKind::all(), |kind| {
             let t = Instant::now();
             let r = Simulation::new(system.clone(), kind)
-                .with_shards(shards)
                 .run_mix(&mix, accesses)
                 .expect("bench parameters are valid");
             let accesses = r.dram_cache_accesses();
             (r.scheme_name, accesses, t.elapsed().as_secs_f64())
         })
     };
-    let to_rates = |runs: Vec<(String, u64, f64)>| -> Vec<SchemeRate> {
-        runs.into_iter()
-            .map(|(scheme, accesses, secs)| SchemeRate {
-                scheme,
-                accesses,
-                accesses_per_sec: if secs > 0.0 {
-                    accesses as f64 / secs
-                } else {
-                    0.0
-                },
-                secs,
-            })
-            .collect()
-    };
     let t = Instant::now();
-    let serial_runs = run_compare(1, 1);
+    let serial_runs = run_compare(1);
     let serial_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let parallel_runs = run_compare(jobs, 1);
+    let parallel_runs = run_compare(jobs);
     let parallel_secs = t.elapsed().as_secs_f64();
     workloads.push(WorkloadTiming {
         name: "compare",
@@ -432,16 +397,19 @@ pub fn run(opts: &BenchOptions) -> BenchReport {
         serial_secs,
         parallel_secs,
     });
-    let schemes = to_rates(serial_runs);
-    // Sharded decode throughput: same schemes, same workload, decode
-    // pipelined across `opts.shards` worker threads. Reports from this
-    // pass are bit-identical to serial, so only the wall-clock differs.
-    let shards = opts.shards.max(1);
-    let sharded_schemes = if shards > 1 {
-        to_rates(run_compare(1, shards))
-    } else {
-        Vec::new()
-    };
+    let schemes = serial_runs
+        .into_iter()
+        .map(|(scheme, accesses, secs)| SchemeRate {
+            scheme,
+            accesses,
+            accesses_per_sec: if secs > 0.0 {
+                accesses as f64 / secs
+            } else {
+                0.0
+            },
+            secs,
+        })
+        .collect();
 
     // -------- sweep: functional miss rate across block sizes.
     let sweep_accesses = if opts.quick { 40_000 } else { 300_000 };
@@ -496,8 +464,6 @@ pub fn run(opts: &BenchOptions) -> BenchReport {
         quick: opts.quick,
         workloads,
         schemes,
-        shards,
-        sharded_schemes,
         backend: opts.backend,
     }
 }
@@ -556,8 +522,6 @@ mod tests {
                 secs: 0.5,
                 accesses_per_sec: 2000.0,
             }],
-            shards: 1,
-            sharded_schemes: Vec::new(),
             backend: BackendKind::default(),
         }
     }
@@ -647,29 +611,14 @@ mod tests {
         let r = run(&BenchOptions {
             quick: true,
             jobs: 2,
-            shards: 2,
             backend: BackendKind::default(),
         });
         assert_eq!(r.workloads.len(), 3);
         assert_eq!(r.schemes.len(), SchemeKind::all().len());
         assert!(r.schemes.iter().all(|s| s.accesses_per_sec > 0.0));
-        assert_eq!(r.sharded_schemes.len(), SchemeKind::all().len());
-        assert!(r.sharded_schemes.iter().all(|s| s.accesses_per_sec > 0.0));
-        // Sharded decode replays the same access stream: the work done
-        // (and hence the accesses counted) matches the serial pass.
-        for (serial, sharded) in r.schemes.iter().zip(&r.sharded_schemes) {
-            assert_eq!(serial.scheme, sharded.scheme);
-            assert_eq!(serial.accesses, sharded.accesses);
-        }
         assert!(r.compare_speedup() > 0.0);
         let json = r.to_json().to_pretty();
-        for key in [
-            "bimodal-bench-v1",
-            "workloads",
-            "schemes",
-            "speedup",
-            "sharded_schemes",
-        ] {
+        for key in ["bimodal-bench-v1", "workloads", "schemes", "speedup"] {
             assert!(json.contains(key), "missing {key}");
         }
     }
@@ -694,40 +643,13 @@ mod tests {
     fn non_default_backend_rates_ride_history_under_scoped_keys() {
         let mut r = report_with(2, 1.0, 0.5);
         r.backend = BackendKind::Hbm2;
-        r.shards = 4;
-        r.sharded_schemes = vec![SchemeRate {
-            scheme: "BiModal".into(),
-            accesses: 1000,
-            secs: 0.25,
-            accesses_per_sec: 4000.0,
-        }];
         let line = r.history_line();
         assert!(line.contains("\"BiModal@hbm2\""), "{line}");
-        assert!(line.contains("\"BiModal@hbm2@shards4\""), "{line}");
         // The default-backend key must NOT appear: substrate trendlines
         // stay separate.
         assert!(!line.contains("\"BiModal\":"), "{line}");
         let text = format!("{line}\n{line}\n");
         let v = check_history(&text, 5, 25.0).expect("parses");
         assert!(v.passed());
-    }
-
-    #[test]
-    fn sharded_rates_ride_history_under_distinct_keys() {
-        let mut r = report_with(2, 1.0, 0.5);
-        r.shards = 4;
-        r.sharded_schemes = vec![SchemeRate {
-            scheme: "BiModal".into(),
-            accesses: 1000,
-            secs: 0.25,
-            accesses_per_sec: 4000.0,
-        }];
-        let line = r.history_line();
-        assert!(line.contains("\"BiModal@shards4\""), "{line}");
-        // Both keys survive the trendline check independently.
-        let text = format!("{line}\n{line}\n");
-        let v = check_history(&text, 5, 25.0).expect("parses");
-        assert!(v.passed());
-        assert_eq!(v.lines.len(), 2, "{:?}", v.lines);
     }
 }
