@@ -113,7 +113,7 @@ impl NextNPrefetcher {
         out
     }
 
-    /// [`Prefetcher::candidates`] into a caller-owned buffer, so the
+    /// [`NextNPrefetcher::candidates`] into a caller-owned buffer, so the
     /// engine's issue loop reuses one scratch allocation across accesses.
     /// `out` is cleared first.
     pub fn candidates_into(&mut self, addr: u64, out: &mut Vec<u64>) {
