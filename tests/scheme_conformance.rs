@@ -529,3 +529,68 @@ fn journeys_under_checkpointing_is_a_typed_mismatch() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// The `bimodal-ckpt-v1` wire format is a contract with every checkpoint
+/// already on disk: a resumed campaign must load what an earlier build
+/// wrote. A field reordered inside one type's snapshot changes save and
+/// load together, so the resume tests above still pass; only pinning the
+/// bytes catches it. Each entry is the FNV-1a hash of the last checkpoint
+/// written by `bimodal run --mix Q1 --scheme <s> --accesses 2000
+/// --cache-mb 1 --seed 7 --anatomy --exact-tails --json <report>
+/// --checkpoint <file> --checkpoint-every 3000` (the files are 300–830 KB
+/// each, too large to commit as fixtures). A deliberate format change
+/// bumps `bimodal_ckpt::VERSION` and re-records this table.
+#[test]
+fn checkpoint_bytes_are_pinned_for_every_scheme() {
+    use bimodal::ckpt::fnv1a;
+    use bimodal::obs::ObserverConfig;
+    use bimodal::sim::{CheckpointSpec, PrefetchMode};
+    const PINNED: [(&str, u64); 10] = [
+        ("AlloyCache", 0xb65e_c3a5_dc66_1d50),
+        ("Loh-Hill", 0xec48_8704_be9e_a1e8),
+        ("ATCache", 0x8d82_537f_fa42_8eb9),
+        ("FootprintCache", 0xf2d8_a5ee_50c1_dd0d),
+        ("Fixed512", 0xef6e_0596_ed0a_1536),
+        ("WayLocator-Only", 0x8036_7a8a_51ff_9b7d),
+        ("BiModal-Only", 0xc43a_2c73_721b_7ca3),
+        ("BiModal", 0x0cad_438d_400e_188c),
+        ("BiModal+MP", 0x9cae_1bec_31e0_2c62),
+        ("BiModal+prefetch2", 0x069e_91cd_0812_96fa),
+    ];
+    let system = || SystemConfig::quad_core().with_cache_mb(1).with_seed(7);
+    let mut sims: Vec<(String, Simulation)> = SchemeKind::all()
+        .into_iter()
+        .chain([SchemeKind::BiModalMissPredict])
+        .map(|kind| (kind.to_string(), Simulation::new(system(), kind)))
+        .collect();
+    sims.push((
+        "BiModal+prefetch2".to_owned(),
+        Simulation::new(system(), SchemeKind::BiModal).with_prefetch(2, PrefetchMode::Normal),
+    ));
+    let mix = WorkloadMix::quad("Q1").expect("Q1 exists");
+    let mut actual = Vec::new();
+    for (i, (name, sim)) in sims.into_iter().enumerate() {
+        let path =
+            std::env::temp_dir().join(format!("bimodal-pin-ckpt-{i}-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        // 4 cores x 2000 accesses: snapshots at 3000 and 6000 issued.
+        let spec = CheckpointSpec::new(path.clone(), 3_000).expect("valid cadence");
+        let cfg = ObserverConfig::default()
+            .with_anatomy()
+            .with_exact_tails(4_096);
+        sim.run_mix_checkpointed(&mix, 2_000, &mut Observer::enabled(cfg), Some(&spec), None)
+            .expect("checkpointed run");
+        let bytes = std::fs::read(&path).expect("a checkpoint was written");
+        actual.push((name, fnv1a(&bytes)));
+        let _ = std::fs::remove_file(&path);
+        let mut prev = path.into_os_string();
+        prev.push(".prev");
+        let _ = std::fs::remove_file(prev);
+    }
+    let pinned: Vec<(String, u64)> = PINNED.iter().map(|&(n, h)| (n.to_owned(), h)).collect();
+    assert_eq!(
+        actual, pinned,
+        "checkpoint bytes changed: checkpoints written by earlier builds \
+         no longer load (a snapshot field list was reordered, grown or shrunk)"
+    );
+}
