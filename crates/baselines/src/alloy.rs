@@ -624,19 +624,7 @@ impl DramCacheScheme for AlloyCache {
     }
 }
 
-impl bimodal_ckpt::Snapshot for TadEntry {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.tag);
-        w.bool(self.dirty);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(TadEntry {
-            tag: r.u64()?,
-            dirty: r.bool()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { TadEntry { tag, dirty } }
 
 impl MapPredictor {
     /// Serializes the counter table and accuracy counters.

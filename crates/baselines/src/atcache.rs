@@ -728,19 +728,7 @@ impl DramCacheScheme for AtCache {
     }
 }
 
-impl bimodal_ckpt::Snapshot for Line {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.tag);
-        w.bool(self.dirty);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(Line {
-            tag: r.u64()?,
-            dirty: r.bool()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { Line { tag, dirty } }
 
 #[cfg(test)]
 mod tests {

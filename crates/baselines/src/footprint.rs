@@ -703,23 +703,7 @@ impl DramCacheScheme for FootprintCache {
     }
 }
 
-impl bimodal_ckpt::Snapshot for Page {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.tag);
-        w.u32(self.fetched);
-        w.u32(self.referenced);
-        w.u32(self.dirty);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(Page {
-            tag: r.u64()?,
-            fetched: r.u32()?,
-            referenced: r.u32()?,
-            dirty: r.u32()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { Page { tag, fetched, referenced, dirty } }
 
 #[cfg(test)]
 mod tests {

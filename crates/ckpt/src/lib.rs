@@ -11,6 +11,15 @@
 //! the format lives in this workspace, so there is no schema evolution
 //! machinery; the version byte gates incompatible changes wholesale.
 //!
+//! A type whose state is a plain list of fields, each restored without
+//! checks, declares its [`Snapshot`] impl once with [`snapshot_fields!`].
+//! Write the impl by hand when `load` must validate what it reads (an
+//! enum tag, a non-zero capacity, a length that must match the
+//! configuration) or when the bytes are not the field list (a sorted map,
+//! a derived encoding). Either way the order of the writes is the wire
+//! format: reordering a field list changes the bytes, and checkpoints
+//! written before the change stop loading.
+//!
 //! Nothing here allocates per value on the write path beyond the growing
 //! output buffer, and reads never panic on malformed input: every decode
 //! error surfaces as a typed [`CkptError`] naming the section being read.
@@ -353,6 +362,40 @@ macro_rules! snapshot_prim {
             }
             fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
                 r.$r()
+            }
+        }
+    };
+}
+
+/// Implements [`Snapshot`] for a struct from one ordered field list:
+/// `save` writes each field through its own `Snapshot` impl and `load`
+/// reads them back in the same order, so the two cannot disagree. The
+/// list is the wire format (see the crate docs). Invoke the macro with
+/// braces, so rustfmt leaves the list as written.
+///
+/// ```
+/// use bimodal_ckpt::{Snapshot, SnapshotReader, SnapshotWriter};
+/// #[derive(Debug, PartialEq)]
+/// struct Location { channel: u32, row: u64 }
+/// bimodal_ckpt::snapshot_fields! { Location { channel, row } }
+///
+/// let mut w = SnapshotWriter::new();
+/// Location { channel: 1, row: 2 }.save(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes, [1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]);
+/// let back = Location::load(&mut SnapshotReader::new(&bytes, "doc"));
+/// assert_eq!(back, Ok(Location { channel: 1, row: 2 }));
+/// ```
+#[macro_export]
+macro_rules! snapshot_fields {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::SnapshotWriter) {
+                $($crate::Snapshot::save(&self.$field, w);)+
+            }
+            fn load(r: &mut $crate::SnapshotReader<'_>) -> Result<Self, $crate::CkptError> {
+                // Struct-literal fields evaluate in the order written.
+                Ok($ty { $($field: $crate::Snapshot::load(r)?,)+ })
             }
         }
     };

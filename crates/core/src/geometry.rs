@@ -308,19 +308,7 @@ impl bimodal_ckpt::Snapshot for BlockSize {
     }
 }
 
-impl bimodal_ckpt::Snapshot for SetState {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u8(self.big);
-        w.u8(self.small);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(SetState {
-            big: r.u8()?,
-            small: r.u8()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { SetState { big, small } }
 
 #[cfg(test)]
 mod tests {

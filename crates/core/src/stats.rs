@@ -193,99 +193,17 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-impl bimodal_ckpt::Snapshot for LatencyBreakdown {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.sram);
-        w.u64(self.dram_tag);
-        w.u64(self.dram_data);
-        w.u64(self.offchip);
-    }
+bimodal_ckpt::snapshot_fields! { LatencyBreakdown { sram, dram_tag, dram_data, offchip } }
 
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(LatencyBreakdown {
-            sram: r.u64()?,
-            dram_tag: r.u64()?,
-            dram_data: r.u64()?,
-            offchip: r.u64()?,
-        })
-    }
-}
-
-impl bimodal_ckpt::Snapshot for SchemeStats {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        for v in [
-            self.accesses,
-            self.hits,
-            self.misses,
-            self.reads,
-            self.writes,
-            self.prefetches,
-            self.prefetch_bypasses,
-            self.small_block_accesses,
-            self.big_hits,
-            self.small_hits,
-            self.locator_hits,
-            self.locator_misses,
-            self.fills_big,
-            self.fills_small,
-            self.evictions,
-            self.writebacks,
-            self.offchip_fetched_bytes,
-            self.offchip_writeback_bytes,
-            self.offchip_wasted_bytes,
-            self.spec_fetches,
-            self.spec_wasted,
-            self.md_accesses,
-            self.md_row_hits,
-            self.data_accesses,
-            self.data_row_hits,
-            self.total_latency,
-            self.big_evictions_well_used,
-            self.big_evictions_under_used,
-            self.locator_heals,
-            self.ecc_corrected,
-            self.ecc_detected_uncorrected,
-        ] {
-            w.u64(v);
-        }
-        self.breakdown.save(w);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(SchemeStats {
-            accesses: r.u64()?,
-            hits: r.u64()?,
-            misses: r.u64()?,
-            reads: r.u64()?,
-            writes: r.u64()?,
-            prefetches: r.u64()?,
-            prefetch_bypasses: r.u64()?,
-            small_block_accesses: r.u64()?,
-            big_hits: r.u64()?,
-            small_hits: r.u64()?,
-            locator_hits: r.u64()?,
-            locator_misses: r.u64()?,
-            fills_big: r.u64()?,
-            fills_small: r.u64()?,
-            evictions: r.u64()?,
-            writebacks: r.u64()?,
-            offchip_fetched_bytes: r.u64()?,
-            offchip_writeback_bytes: r.u64()?,
-            offchip_wasted_bytes: r.u64()?,
-            spec_fetches: r.u64()?,
-            spec_wasted: r.u64()?,
-            md_accesses: r.u64()?,
-            md_row_hits: r.u64()?,
-            data_accesses: r.u64()?,
-            data_row_hits: r.u64()?,
-            total_latency: r.u64()?,
-            big_evictions_well_used: r.u64()?,
-            big_evictions_under_used: r.u64()?,
-            locator_heals: r.u64()?,
-            ecc_corrected: r.u64()?,
-            ecc_detected_uncorrected: r.u64()?,
-            breakdown: bimodal_ckpt::Snapshot::load(r)?,
-        })
+bimodal_ckpt::snapshot_fields! {
+    SchemeStats {
+        accesses, hits, misses, reads, writes, prefetches, prefetch_bypasses,
+        small_block_accesses, big_hits, small_hits, locator_hits, locator_misses,
+        fills_big, fills_small, evictions, writebacks, offchip_fetched_bytes,
+        offchip_writeback_bytes, offchip_wasted_bytes, spec_fetches, spec_wasted,
+        md_accesses, md_row_hits, data_accesses, data_row_hits, total_latency,
+        big_evictions_well_used, big_evictions_under_used, locator_heals,
+        ecc_corrected, ecc_detected_uncorrected, breakdown,
     }
 }
 

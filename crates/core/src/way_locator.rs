@@ -329,23 +329,7 @@ impl WayLocator {
     }
 }
 
-impl bimodal_ckpt::Snapshot for WayLocatorEntry {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.key);
-        self.size.save(w);
-        w.u8(self.sub_block);
-        w.u8(self.way);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(WayLocatorEntry {
-            key: r.u64()?,
-            size: bimodal_ckpt::Snapshot::load(r)?,
-            sub_block: r.u8()?,
-            way: r.u8()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { WayLocatorEntry { key, size, sub_block, way } }
 
 impl WayLocator {
     /// Serializes the table contents and hit/miss counters (the

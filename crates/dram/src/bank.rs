@@ -128,23 +128,7 @@ impl Bank {
     }
 }
 
-impl bimodal_ckpt::Snapshot for Bank {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        self.open_row.save(w);
-        w.u64(self.ready_at);
-        w.u64(self.last_activate);
-        w.u64(self.deferred_until);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(Bank {
-            open_row: bimodal_ckpt::Snapshot::load(r)?,
-            ready_at: r.u64()?,
-            last_activate: r.u64()?,
-            deferred_until: r.u64()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { Bank { open_row, ready_at, last_activate, deferred_until } }
 
 #[cfg(test)]
 mod tests {

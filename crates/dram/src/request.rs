@@ -106,23 +106,7 @@ impl Completion {
     }
 }
 
-impl bimodal_ckpt::Snapshot for Location {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u32(self.channel);
-        w.u32(self.rank);
-        w.u32(self.bank);
-        w.u64(self.row);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(Location {
-            channel: r.u32()?,
-            rank: r.u32()?,
-            bank: r.u32()?,
-            row: r.u64()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { Location { channel, rank, bank, row } }
 
 #[cfg(test)]
 mod tests {

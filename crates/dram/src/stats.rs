@@ -100,35 +100,10 @@ impl DramStats {
     }
 }
 
-impl bimodal_ckpt::Snapshot for BankStats {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        for v in [
-            self.row_hits,
-            self.row_misses,
-            self.row_empty,
-            self.activates,
-            self.precharges,
-            self.reads,
-            self.writes,
-            self.bytes_read,
-            self.bytes_written,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(BankStats {
-            row_hits: r.u64()?,
-            row_misses: r.u64()?,
-            row_empty: r.u64()?,
-            activates: r.u64()?,
-            precharges: r.u64()?,
-            reads: r.u64()?,
-            writes: r.u64()?,
-            bytes_read: r.u64()?,
-            bytes_written: r.u64()?,
-        })
+bimodal_ckpt::snapshot_fields! {
+    BankStats {
+        row_hits, row_misses, row_empty, activates, precharges, reads, writes,
+        bytes_read, bytes_written,
     }
 }
 

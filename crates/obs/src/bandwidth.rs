@@ -753,57 +753,11 @@ impl Snapshot for TrafficClass {
     }
 }
 
-impl Snapshot for ClassCounters {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.cycles.save(w);
-        self.bytes.save(w);
-    }
+bimodal_ckpt::snapshot_fields! { ClassCounters { cycles, bytes } }
 
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
-        Ok(ClassCounters {
-            cycles: Snapshot::load(r)?,
-            bytes: Snapshot::load(r)?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { WaitHist { count, sum, min, max, counts } }
 
-impl Snapshot for WaitHist {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-        self.counts.save(w);
-    }
-
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
-        Ok(WaitHist {
-            count: r.u64()?,
-            sum: r.u64()?,
-            min: r.u64()?,
-            max: r.u64()?,
-            counts: Snapshot::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for ChannelBandwidth {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.busy.save(w);
-        w.u64(self.busy_cycles);
-        w.u64(self.busy_until);
-        self.queue_wait.save(w);
-    }
-
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
-        Ok(ChannelBandwidth {
-            busy: Snapshot::load(r)?,
-            busy_cycles: r.u64()?,
-            busy_until: r.u64()?,
-            queue_wait: Snapshot::load(r)?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { ChannelBandwidth { busy, busy_cycles, busy_until, queue_wait } }
 
 impl Snapshot for BandwidthTracker {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -830,51 +784,13 @@ impl Snapshot for BandwidthTracker {
     }
 }
 
-impl Snapshot for QueueDepthStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.u64(self.high_water);
-        w.u128(self.integral);
-        w.u64(self.window_start);
-        w.u64(self.last_cycle);
-        w.u64(self.last_depth);
-    }
-
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
-        Ok(QueueDepthStats {
-            high_water: r.u64()?,
-            integral: r.u128()?,
-            window_start: r.u64()?,
-            last_cycle: r.u64()?,
-            last_depth: r.u64()?,
-        })
-    }
+bimodal_ckpt::snapshot_fields! {
+    QueueDepthStats { high_water, integral, window_start, last_cycle, last_depth }
 }
 
-impl Snapshot for BandwidthSample {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.u64(self.cycle);
-        self.channels.save(w);
-    }
+bimodal_ckpt::snapshot_fields! { BandwidthSample { cycle, channels } }
 
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
-        Ok(BandwidthSample {
-            cycle: r.u64()?,
-            channels: Snapshot::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for BandwidthSeries {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.samples.save(w);
-    }
-
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
-        Ok(BandwidthSeries {
-            samples: Snapshot::load(r)?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { BandwidthSeries { samples } }
 
 #[cfg(test)]
 mod tests {

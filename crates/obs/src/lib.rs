@@ -509,25 +509,7 @@ impl Observer {
     }
 }
 
-impl bimodal_ckpt::Snapshot for LatencyHistograms {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        self.read.save(w);
-        self.write.save(w);
-        self.prefetch.save(w);
-        self.hit.save(w);
-        self.miss.save(w);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(LatencyHistograms {
-            read: bimodal_ckpt::Snapshot::load(r)?,
-            write: bimodal_ckpt::Snapshot::load(r)?,
-            prefetch: bimodal_ckpt::Snapshot::load(r)?,
-            hit: bimodal_ckpt::Snapshot::load(r)?,
-            miss: bimodal_ckpt::Snapshot::load(r)?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { LatencyHistograms { read, write, prefetch, hit, miss } }
 
 impl bimodal_ckpt::Snapshot for TailReservoirs {
     fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {

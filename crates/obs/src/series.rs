@@ -186,45 +186,11 @@ impl EpochRecorder {
     }
 }
 
-impl bimodal_ckpt::Snapshot for Counters {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.accesses);
-        w.u64(self.hits);
-        w.u64(self.row_hits);
-        w.u64(self.row_accesses);
-        w.u64(self.offchip_bytes);
-        w.u64(self.wasted_bytes);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(Counters {
-            accesses: r.u64()?,
-            hits: r.u64()?,
-            row_hits: r.u64()?,
-            row_accesses: r.u64()?,
-            offchip_bytes: r.u64()?,
-            wasted_bytes: r.u64()?,
-        })
-    }
+bimodal_ckpt::snapshot_fields! {
+    Counters { accesses, hits, row_hits, row_accesses, offchip_bytes, wasted_bytes }
 }
 
-impl bimodal_ckpt::Snapshot for EpochSnapshot {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.start_cycle);
-        w.u64(self.end_cycle);
-        self.delta.save(w);
-        w.u64(self.queue_occupancy);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(EpochSnapshot {
-            start_cycle: r.u64()?,
-            end_cycle: r.u64()?,
-            delta: bimodal_ckpt::Snapshot::load(r)?,
-            queue_occupancy: r.u64()?,
-        })
-    }
-}
+bimodal_ckpt::snapshot_fields! { EpochSnapshot { start_cycle, end_cycle, delta, queue_occupancy } }
 
 impl bimodal_ckpt::Snapshot for EpochRecorder {
     fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {

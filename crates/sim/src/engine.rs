@@ -925,6 +925,13 @@ struct SavedVars {
     wd_stalled_iters: u64,
 }
 
+bimodal_ckpt::snapshot_fields! {
+    SavedVars {
+        stats_reset, issued_total, epoch_base, wd_frontier, wd_last_progress,
+        wd_stalled_iters,
+    }
+}
+
 /// Writes one checkpoint of the full run state (atomic, double-buffered).
 #[allow(clippy::too_many_arguments)] // one call site, gathering the whole loop
 fn save_run(
@@ -946,17 +953,7 @@ fn save_run(
     file.put(section::META, w.into_bytes());
 
     let mut w = SnapshotWriter::new();
-    w.bool(vars.stats_reset);
-    w.u64(vars.issued_total);
-    w.u64(vars.epoch_base.accesses);
-    w.u64(vars.epoch_base.hits);
-    w.u64(vars.epoch_base.row_hits);
-    w.u64(vars.epoch_base.row_accesses);
-    w.u64(vars.epoch_base.offchip_bytes);
-    w.u64(vars.epoch_base.wasted_bytes);
-    w.u64(vars.wd_frontier);
-    w.u64(vars.wd_last_progress);
-    w.u64(vars.wd_stalled_iters);
+    vars.save(&mut w);
     w.usize(cores.len());
     for c in cores {
         w.u64(c.next_issue);
@@ -1031,21 +1028,7 @@ fn restore_run(
     }
 
     let mut r = file.section(section::ENGINE)?;
-    let vars = SavedVars {
-        stats_reset: r.bool()?,
-        issued_total: r.u64()?,
-        epoch_base: Counters {
-            accesses: r.u64()?,
-            hits: r.u64()?,
-            row_hits: r.u64()?,
-            row_accesses: r.u64()?,
-            offchip_bytes: r.u64()?,
-            wasted_bytes: r.u64()?,
-        },
-        wd_frontier: r.u64()?,
-        wd_last_progress: r.u64()?,
-        wd_stalled_iters: r.u64()?,
-    };
+    let vars = SavedVars::load(&mut r)?;
     let n = r.usize()?;
     if n != cores.len() {
         return Err(r.corrupt(format!(
