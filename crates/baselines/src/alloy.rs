@@ -10,14 +10,15 @@
 //!
 //! **Substitution note:** the original MAP-I indexes its counter table
 //! with the *instruction address* of the miss-causing load. Our traces
-//! carry no program counters, so [`MapPredictor`] indexes with the memory
+//! carry no program counters, so the predictor ([`MissPredictor`], shared
+//! with the Bi-Modal cache's optional predictor) indexes with the memory
 //! region address instead (a MAP-G-style variant from the same paper);
 //! both converge to the same steady-state behaviour for region-stable
 //! hit/miss patterns. See DESIGN.md.
 
 use bimodal_core::{
     random_tag_xor, AccessKind, AccessOutcome, CacheAccess, ContentsDigest, DramCacheScheme,
-    EccLedger, FaultTarget, MetadataFault, SchemeStats,
+    EccLedger, FaultTarget, MetadataFault, MissPredictor, SchemeStats,
 };
 use bimodal_dram::{Cycle, DeferredOp, MemorySystem, Op, Request, TrafficClass};
 use bimodal_obs::anatomy::{self, Component};
@@ -30,83 +31,6 @@ use crate::common::RowMapper;
 const TAD_BYTES: u32 = 72;
 /// TADs per 2 KB DRAM row (Section II-B cites 28-29 with metadata).
 const TADS_PER_ROW: u64 = 28;
-
-/// The hit/miss predictor steering serial vs parallel probes.
-///
-/// A table of 2-bit saturating counters indexed by memory-region bits
-/// (1 KB total, like the paper's MAP-I budget).
-#[derive(Debug, Clone)]
-pub struct MapPredictor {
-    counters: Vec<u8>,
-    region_shift: u32,
-    correct: u64,
-    wrong: u64,
-}
-
-impl MapPredictor {
-    /// A 4096-entry (1 KB) predictor over 4 KB regions.
-    #[must_use]
-    pub fn new() -> Self {
-        MapPredictor {
-            counters: vec![3; 4096],
-            region_shift: 12,
-            correct: 0,
-            wrong: 0,
-        }
-    }
-
-    fn index(&self, addr: u64) -> usize {
-        (addr >> self.region_shift) as usize & (self.counters.len() - 1)
-    }
-
-    /// Predicts whether `addr` will hit in the DRAM cache.
-    #[must_use]
-    pub fn predict_hit(&self, addr: u64) -> bool {
-        self.counters[self.index(addr)] >= 2
-    }
-
-    /// Trains with the observed outcome.
-    pub fn update(&mut self, addr: u64, hit: bool) {
-        let predicted = self.predict_hit(addr);
-        if predicted == hit {
-            self.correct += 1;
-        } else {
-            self.wrong += 1;
-        }
-        let i = self.index(addr);
-        if hit {
-            self.counters[i] = (self.counters[i] + 1).min(3);
-        } else {
-            self.counters[i] = self.counters[i].saturating_sub(1);
-        }
-    }
-
-    /// Flips one bit of a randomly chosen counter — a predictor upset
-    /// only ever disturbs a hint (a wrong prediction costs a wasted or
-    /// serialized fetch, never correctness).
-    pub fn upset_counter(&mut self, rng: &mut SmallRng) {
-        let idx = rng.gen_range(0..self.counters.len());
-        let bit = rng.gen_range(0u8..2);
-        self.counters[idx] ^= 1 << bit;
-    }
-
-    /// Prediction accuracy so far.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        let t = self.correct + self.wrong;
-        if t == 0 {
-            0.0
-        } else {
-            self.correct as f64 / t as f64
-        }
-    }
-}
-
-impl Default for MapPredictor {
-    fn default() -> Self {
-        MapPredictor::new()
-    }
-}
 
 /// Configuration of an [`AlloyCache`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,7 +111,7 @@ pub struct AlloyCache {
     n_blocks: u64,
     /// One packed [`TadEntry`] per block slot; all zeros is an empty cache.
     entries: Vec<u64>,
-    predictor: MapPredictor,
+    predictor: MissPredictor,
     mapper: Option<RowMapper>,
     ledger: EccLedger,
     stats: SchemeStats,
@@ -211,7 +135,7 @@ impl AlloyCache {
         AlloyCache {
             entries: vec![0; usize::try_from(n_blocks).expect("block count fits usize")],
             n_blocks,
-            predictor: MapPredictor::new(),
+            predictor: MissPredictor::new(),
             mapper: None,
             ledger: EccLedger::new(),
             stats: SchemeStats::default(),
@@ -227,7 +151,7 @@ impl AlloyCache {
 
     /// The hit/miss predictor.
     #[must_use]
-    pub fn predictor(&self) -> &MapPredictor {
+    pub fn predictor(&self) -> &MissPredictor {
         &self.predictor
     }
 
@@ -626,39 +550,6 @@ impl DramCacheScheme for AlloyCache {
 
 bimodal_ckpt::snapshot_fields! { TadEntry { tag, dirty } }
 
-impl MapPredictor {
-    /// Serializes the counter table and accuracy counters.
-    pub fn save_state(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        use bimodal_ckpt::Snapshot;
-        self.counters.save(w);
-        w.u64(self.correct);
-        w.u64(self.wrong);
-    }
-
-    /// Restores state written by [`MapPredictor::save_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut bimodal_ckpt::SnapshotReader<'_>,
-    ) -> Result<(), bimodal_ckpt::CkptError> {
-        use bimodal_ckpt::Snapshot;
-        let counters: Vec<u8> = Snapshot::load(r)?;
-        if counters.len() != self.counters.len() {
-            return Err(r.corrupt(format!(
-                "MAP predictor has {} counters in checkpoint, {} configured",
-                counters.len(),
-                self.counters.len()
-            )));
-        }
-        if counters.iter().any(|&c| c > 3) {
-            return Err(r.corrupt("MAP counter out of 2-bit range"));
-        }
-        self.counters = counters;
-        self.correct = r.u64()?;
-        self.wrong = r.u64()?;
-        Ok(())
-    }
-}
-
 /// Shared check for the leading marker byte every stateful baseline writes.
 pub(crate) fn expect_stateful_marker(
     r: &mut bimodal_ckpt::SnapshotReader<'_>,
@@ -722,7 +613,7 @@ mod tests {
 
     #[test]
     fn predictor_learns_miss_streams() {
-        let mut p = MapPredictor::new();
+        let mut p = MissPredictor::new();
         for _ in 0..4 {
             p.update(0x4_0000, false);
         }

@@ -39,7 +39,7 @@ mod common;
 mod footprint;
 mod lohhill;
 
-pub use alloy::{AlloyCache, AlloyConfig, MapPredictor};
+pub use alloy::{AlloyCache, AlloyConfig};
 pub use atcache::{AtCache, AtCacheConfig};
 pub use common::RowMapper;
 pub use footprint::{FootprintCache, FootprintConfig, FootprintPredictor};

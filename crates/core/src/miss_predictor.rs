@@ -8,6 +8,9 @@
 //! AlloyCache's MAP budget). When it predicts a miss, the controller
 //! launches the off-chip fetch in parallel with the DRAM tag check
 //! instead of after it; a wrong prediction costs one wasted fetch.
+//!
+//! AlloyCache's memory-access predictor (MAP) is the same table, so the
+//! AlloyCache baseline uses this type too.
 
 /// Region-indexed hit/miss predictor.
 ///
@@ -45,17 +48,20 @@ impl MissPredictor {
         }
     }
 
+    #[inline]
     fn index(&self, addr: u64) -> usize {
         (addr >> self.region_shift) as usize & (self.counters.len() - 1)
     }
 
     /// Predicts whether `addr` will hit in the DRAM cache.
+    #[inline]
     #[must_use]
     pub fn predict_hit(&self, addr: u64) -> bool {
         self.counters[self.index(addr)] >= 2
     }
 
     /// Trains with the observed outcome and tracks accuracy.
+    #[inline]
     pub fn update(&mut self, addr: u64, hit: bool) {
         // Index once: update sits on the miss path of every access.
         let i = self.index(addr);
@@ -69,6 +75,15 @@ impl MissPredictor {
         } else {
             self.counters[i] = self.counters[i].saturating_sub(1);
         }
+    }
+
+    /// Flips one bit of a randomly chosen counter — a predictor upset
+    /// only ever disturbs a hint (a wrong prediction costs a wasted or
+    /// serialized fetch, never correctness).
+    pub fn upset_counter(&mut self, rng: &mut bimodal_prng::SmallRng) {
+        let idx = rng.gen_range(0..self.counters.len());
+        let bit = rng.gen_range(0u8..2);
+        self.counters[idx] ^= 1 << bit;
     }
 
     /// Prediction accuracy so far (0 when untrained).
