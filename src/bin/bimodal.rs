@@ -35,8 +35,9 @@ fn usage() -> &'static str {
      \x20 run     --mix <M> --scheme <S> [--accesses N] [--cache-mb C] [--seed K]\n\
      \x20         [--backend B]\n\
      \x20         [--warmup N] [--mlp N] [--prefetch N[:bypass]] [--profile]\n\
-     \x20         [--anatomy] [--journeys N]\n\
-     \x20         [--json FILE] [--trace-out FILE] [--epoch CYCLES]\n\
+     \x20         [--anatomy] [--journeys N] [--exact-tails[=N]]\n\
+     \x20         [--json FILE] [--trace-out FILE [--stream] [--sample-every N]]\n\
+     \x20         [--epoch CYCLES]\n\
      \x20         [--heartbeat SECS] [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]\n\
      \x20 compare --mix <M> [--accesses N] [--cache-mb C] [--seed K] [--jobs N]\n\
@@ -52,22 +53,26 @@ fn usage() -> &'static str {
      \x20 sweep   --mix <M> [--backend B] [--accesses N] [--cache-mb C] [--seed K] [--jobs N]\n\
      \x20         [--json FILE] [--heartbeat SECS] [--manifest DIR]\n\
      \x20 record  --program <P> --out <FILE> [--n N] [--seed K]\n\
-     \x20 inject  --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--seed K] [--seeds N]\n\
+     \x20 inject  --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--cache-mb C]\n\
+     \x20         [--seed K] [--seeds N] [--warmup N] [--mlp N]\n\
      \x20         [--metadata-rate P] [--multi-bit P] [--locator-rate P]\n\
      \x20         [--predictor-rate P] [--dram-rate P] [--ecc] [--antt]\n\
      \x20         [--shadow-every N] [--watchdog CYCLES | --no-watchdog]\n\
-     \x20         [--jobs N] [--json FILE] [--trace-out FILE]\n\
+     \x20         [--jobs N] [--json FILE] [--trace-out FILE [--sample-every N]]\n\
+     \x20         [--epoch CYCLES] [--exact-tails[=N]] [--heartbeat SECS]\n\
      \x20         [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--manifest DIR] [--retries N] [--retry-backoff-ms MS]\n\
      \x20 bench   [--quick] [--backend B] [--jobs N] [--min-speedup X] [--out FILE]\n\
      \x20         [--history FILE] [--check-history] [--window N] [--max-regress PCT]\n\
      \x20 bandwidth --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--cache-mb C]\n\
-     \x20         [--seed K] [--jobs N] [--json FILE]\n\
+     \x20         [--seed K] [--warmup N] [--mlp N] [--prefetch N[:bypass]]\n\
+     \x20         [--jobs N] [--json FILE]\n\
      \x20 latency --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--cache-mb C]\n\
-     \x20         [--seed K] [--jobs N] [--json FILE]\n\
+     \x20         [--seed K] [--warmup N] [--mlp N] [--prefetch N[:bypass]]\n\
+     \x20         [--jobs N] [--json FILE]\n\
      \x20         per-component cycle anatomy table (where do the cycles go)\n\
      \x20 explain --mix <M> --scheme <S> --addr X [--backend B] [--accesses N]\n\
-     \x20         [--cache-mb C] [--seed K]\n\
+     \x20         [--cache-mb C] [--seed K] [--warmup N] [--mlp N] [--prefetch N[:bypass]]\n\
      \x20         replay and print every journey touching address X\n\
      \x20 diff    <a.json> <b.json> [--threshold PCT] [--anatomy-threshold CY] [--exact]\n\
      \x20         exits 1 on drift/difference, 2 on unreadable or malformed input\n\
@@ -431,17 +436,19 @@ fn reject_unsnapshottable(flags: &HashMap<String, String>) -> Result<(), String>
     Ok(())
 }
 
-/// `--heartbeat SECS` as a `Duration`, if the flag is present.
+/// `--heartbeat SECS` as a `Duration`, if the flag is present. Negative,
+/// non-finite and out-of-range values are rejected; 0 is valid.
 fn parse_heartbeat(flags: &HashMap<String, String>) -> Result<Option<Duration>, String> {
-    match flags.get("heartbeat") {
-        None => Ok(None),
-        Some(secs) => {
-            let secs: f64 = secs
-                .parse()
-                .map_err(|_| "--heartbeat must be seconds".to_owned())?;
-            Ok(Some(Duration::from_secs_f64(secs.max(0.0))))
-        }
-    }
+    let Some(secs) = flags.get("heartbeat") else {
+        return Ok(None);
+    };
+    secs.parse()
+        .ok()
+        .and_then(|s| Duration::try_from_secs_f64(s).ok())
+        .map(Some)
+        .ok_or_else(|| {
+            format!("--heartbeat must be a non-negative number of seconds (got {secs:?})")
+        })
 }
 
 /// Metric-name prefix for a scheme (`BiModal+MP` → `bimodal_mp`).
@@ -546,12 +553,7 @@ fn backend_scoped(label: &str, backend: BackendKind) -> String {
 /// FNV-1a digest of a report's compact JSON, used as the manifest's
 /// result fingerprint.
 fn report_digest(j: &Json) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in j.to_compact().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", bimodal::ckpt::fnv1a(j.to_compact().as_bytes()))
 }
 
 fn print_report(label: &str, r: &bimodal::sim::RunReport) {
@@ -1129,15 +1131,6 @@ fn print_campaign(report: &CampaignReport) {
 }
 
 fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
-    for snap in ["checkpoint", "checkpoint-every", "resume"] {
-        if flags.contains_key(snap) {
-            return Err(format!(
-                "--{snap} is not available for inject (the clean and faulted \
-                 legs run in lockstep and are not snapshotted mid-run); use \
-                 --manifest DIR to resume a campaign at unit granularity"
-            ));
-        }
-    }
     let mix_name = flags.get("mix").ok_or("inject needs --mix")?;
     let scheme_flag = flags.get("scheme").map_or("bimodal", String::as_str);
     // `--scheme all` fans the campaign across every organization in the
@@ -2366,9 +2359,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "manifest",
         "retries",
         "retry-backoff-ms",
-        "checkpoint",
-        "checkpoint-every",
-        "resume",
     ];
     const COMPARE: &[&str] = &[
         "mix",
@@ -2509,6 +2499,62 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each command in the usage text's `commands:` block with the
+    /// `--flags` its synopsis names. A command line starts two spaces in;
+    /// its synopsis runs on until the next command line.
+    fn synopsis_flags() -> Vec<(String, Vec<String>)> {
+        let block = usage()
+            .split_once("commands:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .map(|(block, _)| block)
+            .expect("usage has a commands block");
+        let mut out: Vec<(String, Vec<String>)> = Vec::new();
+        for line in block.lines() {
+            let body = line
+                .strip_prefix("  ")
+                .expect("synopsis lines are indented");
+            if !body.starts_with(' ') {
+                let name = body.split_whitespace().next().expect("a command name");
+                out.push((name.to_owned(), Vec::new()));
+            }
+            let flags = &mut out.last_mut().expect("a command line comes first").1;
+            for piece in body.split("--").skip(1) {
+                let flag: String = piece
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '-')
+                    .collect();
+                flags.push(flag);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_synopsis_names_exactly_the_flags_its_command_accepts() {
+        let synopses = synopsis_flags();
+        let names: Vec<&str> = synopses.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names.join(" "),
+            "list run compare antt sweep record inject bench bandwidth latency explain diff"
+        );
+        for (command, mut flags) in synopses {
+            // `diff` takes positional files and parses its own flags.
+            if command == "diff" {
+                continue;
+            }
+            flags.sort_unstable();
+            flags.dedup();
+            let mut allowed = allowed_flags(&command).to_vec();
+            allowed.sort_unstable();
+            assert_eq!(flags, allowed, "{command}: synopsis flags vs allowed_flags");
         }
     }
 }

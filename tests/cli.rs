@@ -494,6 +494,22 @@ fn bad_flag_values_fail_naming_the_flag() {
             "run --mix Q2 --scheme bimodal --accesses 100 --prefetch 0:bypass",
             "--prefetch",
         ),
+        (
+            "run --mix Q2 --scheme bimodal --accesses 100 --heartbeat inf",
+            "--heartbeat",
+        ),
+        (
+            "compare --mix Q2 --accesses 100 --heartbeat 1e30",
+            "--heartbeat",
+        ),
+        (
+            "run --mix Q2 --scheme bimodal --accesses 100 --heartbeat nan",
+            "--heartbeat",
+        ),
+        (
+            "run --mix Q2 --scheme bimodal --accesses 100 --heartbeat -1",
+            "--heartbeat",
+        ),
     ] {
         let out = bimodal()
             .args(command.split_whitespace())
@@ -501,9 +517,12 @@ fn bad_flag_values_fail_naming_the_flag() {
             .expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{command}: should be rejected");
+        // The usage text after the error names every flag, so only the
+        // `error:` line counts.
+        let error_line = err.lines().find(|l| l.starts_with("error:")).unwrap_or("");
         assert!(
-            err.contains(flag),
-            "{command}: stderr does not name {flag}: {err}"
+            error_line.contains(flag),
+            "{command}: error line does not name {flag}: {err}"
         );
         assert!(!err.contains("panicked"), "{command}: panicked: {err}");
     }
