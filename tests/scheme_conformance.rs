@@ -7,7 +7,7 @@
 use bimodal::cache::CacheAccess;
 use bimodal::faults::CampaignConfig;
 use bimodal::obs::Observer;
-use bimodal::sim::{SchemeKind, Simulation, SystemConfig};
+use bimodal::sim::{RunReport, SchemeKind, Simulation, SystemConfig};
 use bimodal::workloads::WorkloadMix;
 
 fn system() -> SystemConfig {
@@ -203,43 +203,57 @@ fn every_scheme_resumes_byte_identically_from_a_mid_run_checkpoint() {
     // restore into a fresh engine, and the final machine-readable report
     // is byte-identical to the uninterrupted run — for every scheme, so
     // a baseline with unserialized state cannot slip through.
-    use bimodal::sim::CheckpointSpec;
     let mix = WorkloadMix::quad("Q1").expect("Q1 exists");
-    let n = 5_000u64;
-    for (i, kind) in all_schemes().into_iter().enumerate() {
-        let reference = Simulation::new(system(), kind)
-            .run_mix(&mix, n)
-            .expect("reference run");
-        let path =
-            std::env::temp_dir().join(format!("bimodal-conf-ckpt-{i}-{}.bin", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        // 4 cores x 5000 accesses = 20000 issued; a 3000 cadence leaves
-        // the last snapshot mid-run (18000), not at the finish line.
-        let spec = CheckpointSpec::new(path.clone(), 3_000).expect("valid cadence");
-        let mut obs = Observer::disabled();
-        let checkpointed = Simulation::new(system(), kind)
-            .run_mix_checkpointed(&mix, n, &mut obs, Some(&spec), None)
-            .expect("checkpointed run");
+    for kind in all_schemes() {
+        let sim = Simulation::new(system(), kind);
+        let reference = sim.run_mix(&mix, 5_000).expect("reference run");
+        let (checkpointed, resumed) =
+            checkpointed_and_resumed(&sim, &mix, Observer::disabled, &format!("resume-{kind}"));
         assert_eq!(
             checkpointed.to_json().to_compact(),
             reference.to_json().to_compact(),
             "{kind}: writing checkpoints must not perturb the run"
         );
-        assert!(path.exists(), "{kind}: a mid-run snapshot was written");
-        let mut obs = Observer::disabled();
-        let resumed = Simulation::new(system(), kind)
-            .run_mix_checkpointed(&mix, n, &mut obs, None, Some(&path))
-            .expect("resumed run");
         assert_eq!(
             resumed.to_json().to_compact(),
             reference.to_json().to_compact(),
             "{kind}: a resumed run must report byte-identically"
         );
-        let _ = std::fs::remove_file(&path);
-        let mut prev = path.into_os_string();
-        prev.push(".prev");
-        let _ = std::fs::remove_file(prev);
     }
+}
+
+/// Runs `sim` for 5 000 accesses per core, writing a checkpoint every
+/// 3 000 issued accesses, then resumes a fresh run from the last one.
+/// Returns the checkpointed and the resumed report. On a 4-core mix
+/// (20 000 issued) the last snapshot lands mid-run (18 000), not at the
+/// finish line.
+fn checkpointed_and_resumed(
+    sim: &Simulation,
+    mix: &WorkloadMix,
+    observer: impl Fn() -> Observer,
+    tag: &str,
+) -> (RunReport, RunReport) {
+    use bimodal::sim::CheckpointSpec;
+    let path = std::env::temp_dir().join(format!("bimodal-conf-{tag}-{}.bin", std::process::id()));
+    remove_checkpoint(&path);
+    let spec = CheckpointSpec::new(path.clone(), 3_000).expect("valid cadence");
+    let checkpointed = sim
+        .run_mix_checkpointed(mix, 5_000, &mut observer(), Some(&spec), None)
+        .expect("checkpointed run");
+    assert!(path.exists(), "{tag}: a mid-run snapshot was written");
+    let resumed = sim
+        .run_mix_checkpointed(mix, 5_000, &mut observer(), None, Some(&path))
+        .expect("resumed run");
+    remove_checkpoint(&path);
+    (checkpointed, resumed)
+}
+
+/// Removes a checkpoint and the `.prev` copy its double buffering keeps.
+fn remove_checkpoint(path: &std::path::Path) {
+    let _ = std::fs::remove_file(path);
+    let mut prev = path.as_os_str().to_owned();
+    prev.push(".prev");
+    let _ = std::fs::remove_file(prev);
 }
 
 /// The memory-substrate refactor's hard contract: under the default
@@ -311,48 +325,23 @@ fn checkpoint_resume_is_byte_identical_on_non_default_backends() {
     // taken mid-run on a non-default backend restores into a report
     // byte-identical to the uninterrupted run on that same backend.
     use bimodal::dram::BackendKind;
-    use bimodal::sim::CheckpointSpec;
     let mix = WorkloadMix::quad("Q1").expect("Q1 exists");
-    let n = 5_000u64;
     for backend in [BackendKind::Hbm2, BackendKind::PcmFar] {
-        let sys = || system().with_backend(backend);
-        let reference = Simulation::new(sys(), SchemeKind::BiModal)
-            .run_mix(&mix, n)
-            .expect("reference run");
-        let path = std::env::temp_dir().join(format!(
-            "bimodal-conf-bkend-ckpt-{}-{}.bin",
-            backend.name(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        // 4 cores x 5000 accesses = 20000 issued; a 3000 cadence leaves
-        // the last snapshot mid-run (18000), not at the finish line.
-        let spec = CheckpointSpec::new(path.clone(), 3_000).expect("valid cadence");
-        let mut obs = Observer::disabled();
-        let checkpointed = Simulation::new(sys(), SchemeKind::BiModal)
-            .run_mix_checkpointed(&mix, n, &mut obs, Some(&spec), None)
-            .expect("checkpointed run");
+        let sim = Simulation::new(system().with_backend(backend), SchemeKind::BiModal);
+        let reference = sim.run_mix(&mix, 5_000).expect("reference run");
+        let name = backend.name();
+        let (checkpointed, resumed) =
+            checkpointed_and_resumed(&sim, &mix, Observer::disabled, &format!("backend-{name}"));
         assert_eq!(
             checkpointed.to_json().to_compact(),
             reference.to_json().to_compact(),
-            "{}: writing checkpoints must not perturb the run",
-            backend.name()
+            "{name}: writing checkpoints must not perturb the run"
         );
-        assert!(path.exists(), "{}: a snapshot was written", backend.name());
-        let mut obs = Observer::disabled();
-        let resumed = Simulation::new(sys(), SchemeKind::BiModal)
-            .run_mix_checkpointed(&mix, n, &mut obs, None, Some(&path))
-            .expect("resumed run");
         assert_eq!(
             resumed.to_json().to_compact(),
             reference.to_json().to_compact(),
-            "{}: a resumed run must report byte-identically",
-            backend.name()
+            "{name}: a resumed run must report byte-identically"
         );
-        let _ = std::fs::remove_file(&path);
-        let mut prev = path.into_os_string();
-        prev.push(".prev");
-        let _ = std::fs::remove_file(prev);
     }
 }
 
@@ -389,10 +378,7 @@ fn resuming_under_a_different_backend_is_a_typed_mismatch() {
         }
         other => panic!("expected a fingerprint Mismatch, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
-    let mut prev = path.into_os_string();
-    prev.push(".prev");
-    let _ = std::fs::remove_file(prev);
+    remove_checkpoint(&path);
 }
 
 /// Collecting anatomy must be a pure observer: every pre-existing
@@ -452,7 +438,6 @@ fn anatomy_reports_keep_existing_fields_byte_identical() {
 #[test]
 fn anatomy_checkpoint_resume_round_trips_byte_identically() {
     use bimodal::obs::{Json, ObserverConfig};
-    use bimodal::sim::CheckpointSpec;
     fn nonvolatile(j: Json) -> String {
         let Json::Obj(mut pairs) = j else {
             panic!("report serializes to an object");
@@ -467,43 +452,28 @@ fn anatomy_checkpoint_resume_round_trips_byte_identically() {
         Json::Obj(pairs).to_compact()
     }
     let mix = WorkloadMix::quad("Q1").expect("Q1 exists");
-    let n = 5_000u64;
-    for (i, kind) in all_schemes().into_iter().enumerate() {
-        let mut obs = Observer::enabled(ObserverConfig::default().with_anatomy());
-        let reference = Simulation::new(system(), kind)
-            .run_mix_observed(&mix, n, &mut obs)
+    let observer = || Observer::enabled(ObserverConfig::default().with_anatomy());
+    for kind in all_schemes() {
+        let sim = Simulation::new(system(), kind);
+        let reference = sim
+            .run_mix_observed(&mix, 5_000, &mut observer())
             .expect("reference run");
         assert!(
             reference.anatomy.is_some(),
             "{kind}: reference run collected anatomy"
         );
-        let path =
-            std::env::temp_dir().join(format!("bimodal-anat-ckpt-{i}-{}.bin", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let spec = CheckpointSpec::new(path.clone(), 3_000).expect("valid cadence");
-        let mut obs = Observer::enabled(ObserverConfig::default().with_anatomy());
-        let checkpointed = Simulation::new(system(), kind)
-            .run_mix_checkpointed(&mix, n, &mut obs, Some(&spec), None)
-            .expect("checkpointed run");
+        let (checkpointed, resumed) =
+            checkpointed_and_resumed(&sim, &mix, observer, &format!("anatomy-{kind}"));
         assert_eq!(
             nonvolatile(checkpointed.to_json()),
             nonvolatile(reference.to_json()),
             "{kind}: writing checkpoints must not perturb anatomy"
         );
-        assert!(path.exists(), "{kind}: a mid-run snapshot was written");
-        let mut obs = Observer::enabled(ObserverConfig::default().with_anatomy());
-        let resumed = Simulation::new(system(), kind)
-            .run_mix_checkpointed(&mix, n, &mut obs, None, Some(&path))
-            .expect("resumed run");
         assert_eq!(
             nonvolatile(resumed.to_json()),
             nonvolatile(reference.to_json()),
             "{kind}: a resumed run must reproduce the anatomy section exactly"
         );
-        let _ = std::fs::remove_file(&path);
-        let mut prev = path.into_os_string();
-        prev.push(".prev");
-        let _ = std::fs::remove_file(prev);
     }
 }
 
