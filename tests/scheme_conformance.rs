@@ -256,33 +256,62 @@ fn remove_checkpoint(path: &std::path::Path) {
     let _ = std::fs::remove_file(prev);
 }
 
+/// Runs `bimodal run <args> --json <tmp>` and checks the report against
+/// `tests/golden/<golden>` with `bimodal diff --exact`, which strips
+/// exactly the volatile wall-clock and profile sections.
+fn assert_run_matches_golden(golden: &str, args: &[&str]) {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join(golden);
+    assert!(
+        golden.exists(),
+        "{}: golden report is checked in",
+        golden.display()
+    );
+    let stem = golden.file_stem().and_then(|s| s.to_str()).expect("utf8");
+    let fresh =
+        std::env::temp_dir().join(format!("bimodal-golden-{stem}-{}.json", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bimodal"))
+        .arg("run")
+        .args(args)
+        .arg("--json")
+        .arg(&fresh)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{stem}: stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let diff = std::process::Command::new(env!("CARGO_BIN_EXE_bimodal"))
+        .arg("diff")
+        .arg(&golden)
+        .arg(&fresh)
+        .arg("--exact")
+        .output()
+        .expect("binary runs");
+    assert!(
+        diff.status.success(),
+        "{stem}: report drifted from its golden:\n{}{}",
+        String::from_utf8_lossy(&diff.stdout),
+        String::from_utf8_lossy(&diff.stderr)
+    );
+    std::fs::remove_file(&fresh).expect("cleanup");
+}
+
 /// The memory-substrate refactor's hard contract: under the default
 /// `paper2014` backend, every scheme's `--json` report is byte-identical
-/// to the pre-refactor goldens in `tests/golden/`. The comparison runs
-/// through `bimodal diff --exact`, which strips exactly the volatile
-/// wall-clock and profile sections. Regenerate a golden deliberately
-/// (same commit as the model change) with:
+/// to the pre-refactor goldens in `tests/golden/`. Regenerate a golden
+/// deliberately (same commit as the model change) with:
 /// `bimodal run --mix Q1 --scheme <s> --accesses 5000 --cache-mb 4
 /// --seed 7 --json tests/golden/run_q1_<s>_5000.json`.
 #[test]
 fn default_backend_reports_match_pre_refactor_goldens() {
-    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden");
-    for (scheme, slug) in [
-        ("bimodal", "bimodal"),
-        ("alloy", "alloy"),
-        ("lohhill", "lohhill"),
-        ("atcache", "atcache"),
-        ("footprint", "footprint"),
-    ] {
-        let golden = golden_dir.join(format!("run_q1_{slug}_5000.json"));
-        assert!(golden.exists(), "{scheme}: golden report is checked in");
-        let fresh =
-            std::env::temp_dir().join(format!("bimodal-golden-{slug}-{}.json", std::process::id()));
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bimodal"))
-            .args([
-                "run",
+    for scheme in ["bimodal", "alloy", "lohhill", "atcache", "footprint"] {
+        assert_run_matches_golden(
+            &format!("run_q1_{scheme}_5000.json"),
+            &[
                 "--mix",
                 "Q1",
                 "--scheme",
@@ -293,30 +322,38 @@ fn default_backend_reports_match_pre_refactor_goldens() {
                 "4",
                 "--seed",
                 "7",
-                "--json",
-                fresh.to_str().expect("utf8"),
-            ])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{scheme}: stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
+            ],
         );
-        let diff = std::process::Command::new(env!("CARGO_BIN_EXE_bimodal"))
-            .args(["diff", golden.to_str().expect("utf8")])
-            .arg(&fresh)
-            .arg("--exact")
-            .output()
-            .expect("binary runs");
-        assert!(
-            diff.status.success(),
-            "{scheme}: default-backend report drifted from its golden:\n{}{}",
-            String::from_utf8_lossy(&diff.stdout),
-            String::from_utf8_lossy(&diff.stderr)
-        );
-        std::fs::remove_file(&fresh).expect("cleanup");
     }
+}
+
+/// Pins an observed report: with `--anatomy` and four misses in flight
+/// per core, the anatomy, bandwidth, histogram and epoch sections are
+/// all populated, so a change to how the observer accumulates them
+/// must leave every byte in place. Regenerate deliberately with:
+/// `bimodal run --mix Q1 --scheme bimodal --accesses 5000 --cache-mb 4
+/// --seed 7 --mlp 4 --anatomy --json
+/// tests/golden/run_q1_bimodal_5000_observed.json`.
+#[test]
+fn observed_report_matches_its_golden() {
+    assert_run_matches_golden(
+        "run_q1_bimodal_5000_observed.json",
+        &[
+            "--mix",
+            "Q1",
+            "--scheme",
+            "bimodal",
+            "--accesses",
+            "5000",
+            "--cache-mb",
+            "4",
+            "--seed",
+            "7",
+            "--mlp",
+            "4",
+            "--anatomy",
+        ],
+    );
 }
 
 #[test]
