@@ -27,6 +27,9 @@ pub struct AddressMapping {
     banks: u64,
     row_bytes: u64,
     column_bits: u32,
+    channel_bits: u32,
+    bank_bits: u32,
+    rank_bits: u32,
 }
 
 /// A fully decoded address: bank coordinates plus the byte offset within
@@ -41,14 +44,25 @@ pub struct DecodedAddress {
 
 impl AddressMapping {
     /// Builds a mapping for the given module geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.validate()` fails: every field is a power of two
+    /// there, so each decode step is a mask and a shift.
     #[must_use]
     pub fn new(config: &DramConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid DRAM configuration: {e}");
+        }
         AddressMapping {
             channels: u64::from(config.channels),
             ranks: u64::from(config.ranks_per_channel),
             banks: u64::from(config.banks_per_rank),
             row_bytes: u64::from(config.row_bytes),
             column_bits: config.row_bytes.trailing_zeros(),
+            channel_bits: config.channels.trailing_zeros(),
+            bank_bits: config.banks_per_rank.trailing_zeros(),
+            rank_bits: config.ranks_per_channel.trailing_zeros(),
         }
     }
 
@@ -57,12 +71,12 @@ impl AddressMapping {
     pub fn decode(&self, addr: u64) -> DecodedAddress {
         let column = addr & (self.row_bytes - 1);
         let mut rest = addr >> self.column_bits;
-        let channel = rest % self.channels;
-        rest /= self.channels;
-        let bank = rest % self.banks;
-        rest /= self.banks;
-        let rank = rest % self.ranks;
-        rest /= self.ranks;
+        let channel = rest & (self.channels - 1);
+        rest >>= self.channel_bits;
+        let bank = rest & (self.banks - 1);
+        rest >>= self.bank_bits;
+        let rank = rest & (self.ranks - 1);
+        rest >>= self.rank_bits;
         let row = rest;
         DecodedAddress {
             loc: Location::new(channel as u32, rank as u32, bank as u32, row),
@@ -137,6 +151,53 @@ mod tests {
             let d = m.decode(addr);
             assert_eq!(m.encode_row(d.loc) + u64::from(d.column), addr);
         }
+    }
+
+    /// SplitMix64: a dependency-free stream of test draws.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The `%` and `/` decode the masks and shifts replaced.
+    fn decode_by_division(m: &AddressMapping, addr: u64) -> DecodedAddress {
+        let column = addr % m.row_bytes;
+        let mut rest = addr / m.row_bytes;
+        let channel = rest % m.channels;
+        rest /= m.channels;
+        let bank = rest % m.banks;
+        rest /= m.banks;
+        let rank = rest % m.ranks;
+        rest /= m.ranks;
+        DecodedAddress {
+            loc: Location::new(channel as u32, rank as u32, bank as u32, rest),
+            column: column as u32,
+        }
+    }
+
+    #[test]
+    fn shift_decode_matches_division_on_every_backend() {
+        let mut rng = 0xB10DA1;
+        for b in crate::BackendKind::ALL {
+            for config in [b.backend().stacked(2, 8), b.backend().offchip(4, 2)] {
+                let m = AddressMapping::new(&config);
+                for _ in 0..20_000 {
+                    let addr = draw(&mut rng) >> 1;
+                    let d = m.decode(addr);
+                    assert_eq!(d, decode_by_division(&m, addr), "{} {addr:#x}", b.name());
+                    assert_eq!(m.encode_row(d.loc) + u64::from(d.column), addr);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel count 3 is not a power of two")]
+    fn non_power_of_two_geometry_is_refused() {
+        let _ = AddressMapping::new(&DramConfig::ddr3(3, 2));
     }
 
     #[test]

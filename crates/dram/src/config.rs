@@ -142,7 +142,9 @@ impl DramConfig {
 
     /// CPU cycles needed to move `bytes` over one channel's data bus.
     ///
-    /// Always at least one cycle for a non-empty transfer.
+    /// Always at least one cycle for a non-empty transfer. This is the
+    /// reference formula; [`crate::DramModule`] computes the same value
+    /// with a shift it derives once from the validated bus width.
     #[must_use]
     pub fn burst_cycles(&self, bytes: u32) -> Cycle {
         if bytes == 0 {
@@ -156,11 +158,24 @@ impl DramConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated constraint (zero-sized
-    /// geometry, non-power-of-two row size, or zero bus width).
+    /// Returns a description of the first violated constraint: zero-sized
+    /// or non-power-of-two geometry (channels, ranks, banks, row size),
+    /// a bus width that is zero or not a whole number of bytes, or bus
+    /// bytes per CPU cycle that are not a power of two. The powers of two
+    /// let the module decode addresses and size bursts with shifts and
+    /// masks instead of divisions.
     pub fn validate(&self) -> Result<(), String> {
         if self.channels == 0 || self.ranks_per_channel == 0 || self.banks_per_rank == 0 {
             return Err("geometry dimensions must be non-zero".into());
+        }
+        for (what, n) in [
+            ("channel count", self.channels),
+            ("ranks per channel", self.ranks_per_channel),
+            ("banks per rank", self.banks_per_rank),
+        ] {
+            if !n.is_power_of_two() {
+                return Err(format!("{what} {n} is not a power of two"));
+            }
         }
         if !self.row_bytes.is_power_of_two() {
             return Err(format!("row size {} is not a power of two", self.row_bytes));
@@ -173,6 +188,12 @@ impl DramConfig {
         }
         if self.cpu_per_dram_clk == 0 {
             return Err("cpu_per_dram_clk must be non-zero".into());
+        }
+        let per_cycle = self.bus_bytes_per_cpu_cycle();
+        if !per_cycle.is_power_of_two() {
+            return Err(format!(
+                "bus moves {per_cycle} bytes per CPU cycle, not a power of two"
+            ));
         }
         Ok(())
     }
@@ -249,5 +270,69 @@ mod tests {
             ..DramConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_requires_power_of_two_geometry_and_bus_rate() {
+        let base = DramConfig::default();
+        for (c, want) in [
+            (
+                DramConfig {
+                    channels: 3,
+                    ..base.clone()
+                },
+                "channel count 3",
+            ),
+            (
+                DramConfig {
+                    ranks_per_channel: 6,
+                    ..base.clone()
+                },
+                "ranks per channel 6",
+            ),
+            (
+                DramConfig {
+                    banks_per_rank: 12,
+                    ..base.clone()
+                },
+                "banks per rank 12",
+            ),
+            // 96-bit bus: 12 bytes per CPU cycle at the 2:1 clock ratio.
+            (
+                DramConfig {
+                    bus_bits: 96,
+                    ..base.clone()
+                },
+                "12 bytes per CPU cycle",
+            ),
+            // 128-bit bus at a 3:1 ratio: 32 / 3 = 10 bytes per CPU cycle.
+            (
+                DramConfig {
+                    cpu_per_dram_clk: 3,
+                    ..base.clone()
+                },
+                "10 bytes per CPU cycle",
+            ),
+            // 64-bit bus at a 32:1 ratio moves no whole byte per cycle.
+            (
+                DramConfig {
+                    bus_bits: 64,
+                    cpu_per_dram_clk: 32,
+                    ..base.clone()
+                },
+                "0 bytes per CPU cycle",
+            ),
+        ] {
+            let err = c.validate().expect_err(want);
+            assert!(err.contains(want), "{want}: {err}");
+        }
+        // Every configuration the backends build passes: 8, 16 or 32 B
+        // per cycle, 1-8 channels, 8 or 16 banks.
+        for b in crate::BackendKind::ALL {
+            for ch in [1, 2, 4, 8] {
+                b.backend().stacked(ch, 8).validate().expect("stacked");
+                b.backend().offchip(ch, 2).validate().expect("offchip");
+            }
+        }
     }
 }

@@ -37,6 +37,13 @@ pub struct DramModule {
     /// Refresh epoch (`time / tREFI`) last observed per bank; a new epoch
     /// closes the row buffer (refresh precharges all banks).
     bank_epoch: Vec<u64>,
+    /// First cycle of each bank's epoch (`bank_epoch * tREFI`), so a time
+    /// inside `[start, start + tREFI)` finds its epoch without a division.
+    /// Derived from `bank_epoch`; not checkpointed.
+    epoch_start: Vec<Cycle>,
+    /// `log2` of the bus bytes moved per CPU cycle (a power of two once
+    /// the configuration validates), so a burst is a shift, not a division.
+    burst_shift: u32,
     /// Last four activate times per rank (and how many are valid), for
     /// the tFAW constraint.
     rank_activates: Vec<([Cycle; 4], u8)>,
@@ -77,6 +84,8 @@ impl DramModule {
             bank_stats: vec![BankStats::default(); n_banks],
             totals: BankStats::default(),
             bank_epoch: vec![0; n_banks],
+            epoch_start: vec![0; n_banks],
+            burst_shift: config.bus_bytes_per_cpu_cycle().trailing_zeros(),
             rank_activates: vec![
                 ([0; 4], 0);
                 (config.channels * config.ranks_per_channel) as usize
@@ -110,7 +119,16 @@ impl DramModule {
     /// fused tag+data burst avoided.
     #[must_use]
     pub fn column_cost(&self, bytes: u32) -> Cycle {
-        self.config.timing.cl + self.config.burst_cycles(bytes)
+        self.config.timing.cl + self.burst_cycles(bytes)
+    }
+
+    /// [`DramConfig::burst_cycles`] by shift: the bus moves `2^burst_shift`
+    /// bytes per CPU cycle, so a non-empty transfer takes the byte count
+    /// rounded up to that many, shifted down (at least one cycle).
+    #[inline]
+    fn burst_cycles(&self, bytes: u32) -> Cycle {
+        let per_cycle_mask = (1u64 << self.burst_shift) - 1;
+        (u64::from(bytes) + per_cycle_mask) >> self.burst_shift
     }
 
     /// Per-class bandwidth and occupancy counters.
@@ -119,8 +137,8 @@ impl DramModule {
         &self.bandwidth
     }
 
-    /// Turns on the per-set access heatmap (a hash insert per access, so
-    /// off unless an observer wants it).
+    /// Turns on the per-set access heatmap (per-bank row tables that grow
+    /// with the rows touched, so off unless an observer wants it).
     pub fn enable_heatmap(&mut self) {
         self.bandwidth.enable_heatmap();
     }
@@ -184,7 +202,15 @@ impl DramModule {
             return t;
         }
         let rfc = self.config.timing.rfc;
-        let epoch = t / refi;
+        // Inside the bank's current epoch the answer is known; only a `t`
+        // before or after it pays for the division.
+        let start = self.epoch_start[bank_idx];
+        let (epoch, window_start) = if t >= start && t - start < refi {
+            (self.bank_epoch[bank_idx], start)
+        } else {
+            let epoch = t / refi;
+            (epoch, epoch * refi)
+        };
         if epoch > self.bank_epoch[bank_idx] {
             // A refresh has occurred since the last access: the row buffer
             // contents were lost to the precharge-all. The precharge was
@@ -195,9 +221,9 @@ impl DramModule {
             self.bandwidth
                 .record_bank_busy(bank_idx, TrafficClass::Refresh, crossed * rfc);
             self.bank_epoch[bank_idx] = epoch;
+            self.epoch_start[bank_idx] = window_start;
             self.banks[bank_idx].discard_row();
         }
-        let window_start = epoch * refi;
         if epoch >= 1 && t < window_start + rfc {
             self.refresh_stalls += 1;
             window_start + rfc
@@ -277,7 +303,7 @@ impl DramModule {
         let data_ready = cas_ready + t.cl + media_read;
         let ch = loc.channel as usize;
         let xfer_start = data_ready.max(self.bus_free_at[ch]);
-        let burst = self.config.burst_cycles(bytes);
+        let burst = self.burst_cycles(bytes);
         let done = xfer_start + burst;
         self.bus_free_at[ch] = done;
         // Bank occupancy is decoupled from bus-queue waits: a write holds
@@ -478,6 +504,15 @@ impl DramModule {
                 )));
             }
         }
+        let refi = self.config.timing.refi;
+        let mut epoch_start = Vec::with_capacity(n_banks);
+        for (i, &epoch) in bank_epoch.iter().enumerate() {
+            epoch_start.push(epoch.checked_mul(refi).ok_or_else(|| {
+                r.corrupt(format!(
+                    "bank {i} refresh epoch {epoch} starts past the last cycle"
+                ))
+            })?);
+        }
         let class: TrafficClass = Snapshot::load(r)?;
         let bandwidth: BandwidthTracker = Snapshot::load(r)?;
         if bandwidth.channels().len() != self.config.channels as usize
@@ -489,6 +524,7 @@ impl DramModule {
         self.bank_stats = bank_stats;
         self.totals = totals;
         self.bank_epoch = bank_epoch;
+        self.epoch_start = epoch_start;
         self.rank_activates = rank_activates;
         self.bus_free_at = bus_free_at;
         self.refresh_stalls = refresh_stalls;
@@ -722,6 +758,143 @@ mod tests {
         // Five refresh epochs crossed at 200 cycles each, on the bank.
         assert_eq!(s.bank_totals.cycles[TrafficClass::Refresh.index()], 1000);
         assert_eq!(s.class_totals.cycles[TrafficClass::Refresh.index()], 0);
+    }
+
+    /// SplitMix64: a dependency-free stream of test draws.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Every configuration the five backends build, stacked and off-chip.
+    fn backend_configs() -> Vec<(String, DramConfig)> {
+        crate::BackendKind::ALL
+            .iter()
+            .flat_map(|b| {
+                let b = b.backend();
+                [
+                    (format!("{} stacked", b.name()), b.stacked(2, 8)),
+                    (format!("{} offchip", b.name()), b.offchip(1, 2)),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shift_burst_matches_the_division_on_every_backend() {
+        for (name, config) in backend_configs() {
+            let m = DramModule::new(config.clone());
+            for bytes in 0..=4096 {
+                assert_eq!(
+                    m.burst_cycles(bytes),
+                    config.burst_cycles(bytes),
+                    "{name}, {bytes} B"
+                );
+            }
+        }
+    }
+
+    /// The divide-on-every-call refresh check the epoch window replaced,
+    /// over its own copy of the per-bank state.
+    struct DividingRefresh {
+        bank_epoch: Vec<u64>,
+        refresh_cycles: Vec<u64>,
+        stalls: u64,
+    }
+
+    impl DividingRefresh {
+        fn adjust(&mut self, refi: Cycle, rfc: Cycle, idx: usize, t: Cycle) -> Cycle {
+            let epoch = t / refi;
+            if epoch > self.bank_epoch[idx] {
+                self.refresh_cycles[idx] += (epoch - self.bank_epoch[idx]) * rfc;
+                self.bank_epoch[idx] = epoch;
+            }
+            let window_start = epoch * refi;
+            if epoch >= 1 && t < window_start + rfc {
+                self.stalls += 1;
+                window_start + rfc
+            } else {
+                t
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_window_matches_the_division_on_every_backend() {
+        let mut rng = 0xB10DA1;
+        for (name, config) in backend_configs() {
+            let (refi, rfc) = (config.timing.refi, config.timing.rfc);
+            assert!(refi > 0, "{name} refreshes");
+            let mut m = DramModule::new(config);
+            let n = m.banks.len();
+            let mut reference = DividingRefresh {
+                bank_epoch: vec![0; n],
+                refresh_cycles: vec![0; n],
+                stalls: 0,
+            };
+            let (mut before, mut inside, mut after) = (0, 0, 0);
+            for step in 0..20_000 {
+                let idx = (draw(&mut rng) % n as u64) as usize;
+                let start = reference.bank_epoch[idx] * refi;
+                // Inside the bank's epoch, before it (refresh windows of
+                // earlier epochs included) or up to three epochs after it.
+                let t = match draw(&mut rng) % 4 {
+                    0 => start.saturating_sub(draw(&mut rng) % (3 * refi)),
+                    1 => start + draw(&mut rng) % (3 * refi),
+                    _ => start + draw(&mut rng) % refi,
+                };
+                if t < start {
+                    before += 1;
+                } else if t - start < refi {
+                    inside += 1;
+                } else {
+                    after += 1;
+                }
+                let want = reference.adjust(refi, rfc, idx, t);
+                assert_eq!(m.refresh_adjust(idx, t), want, "{name}, step {step}, t {t}");
+                assert_eq!(m.bank_epoch, reference.bank_epoch, "{name}, step {step}");
+            }
+            assert!(before > 1000 && inside > 1000 && after > 1000, "{name}");
+            assert_eq!(m.refresh_stalls, reference.stalls, "{name}");
+            let refresh: Vec<u64> = m
+                .bandwidth()
+                .banks()
+                .iter()
+                .map(|b| b[TrafficClass::Refresh.index()])
+                .collect();
+            assert_eq!(refresh, reference.refresh_cycles, "{name}");
+        }
+    }
+
+    #[test]
+    fn restore_rebuilds_the_refresh_window() {
+        use bimodal_ckpt::{CkptError, SnapshotReader, SnapshotWriter};
+        let config = DramConfig::stacked(1, 2);
+        let refi = config.timing.refi;
+        let mut m = DramModule::new(config.clone());
+        m.access(Request::read(loc(0, 1), 64, 3 * refi + 5));
+        let save = |m: &DramModule| {
+            let mut w = SnapshotWriter::new();
+            m.save_state(&mut w);
+            w.into_bytes()
+        };
+        let mut fresh = DramModule::new(config.clone());
+        fresh
+            .load_state(&mut SnapshotReader::new(&save(&m), "mem"))
+            .expect("loads");
+        assert_eq!(fresh.epoch_start, m.epoch_start);
+        assert_eq!(fresh.epoch_start[0], 3 * refi);
+
+        m.bank_epoch[1] = u64::MAX / refi + 1;
+        match DramModule::new(config).load_state(&mut SnapshotReader::new(&save(&m), "mem")) {
+            Err(CkptError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("bank 1 refresh epoch"), "{detail}");
+            }
+            other => panic!("expected a Corrupt error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! operations and `drain` them at the start of each access, once
 //! simulation time has caught up.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use bimodal_obs::TrafficClass;
 
@@ -41,10 +40,15 @@ pub enum DeferredOp {
     },
 }
 
-/// Min-heap of deferred operations ordered by execution time.
+/// Deferred operations in execution order: a ring kept sorted by
+/// `(time, sequence number)`, so ops due at the same cycle run in push
+/// order. Pushes are almost always due last (they are scheduled at
+/// completions, which trail the clock), so an insert usually lands at
+/// the tail after one comparison, and the next due op is always at the
+/// front.
 #[derive(Debug, Default)]
 pub struct DeferredQueue {
-    heap: BinaryHeap<Reverse<(Cycle, u64, DeferredOp)>>,
+    ring: VecDeque<(Cycle, u64, DeferredOp)>,
     seq: u64,
 }
 
@@ -57,18 +61,25 @@ impl DeferredQueue {
 
     /// Schedules `op` for execution at cycle `at`.
     pub fn push(&mut self, at: Cycle, op: DeferredOp) {
-        self.heap.push(Reverse((at, self.seq, op)));
+        self.insert((at, self.seq, op));
         self.seq += 1;
+    }
+
+    /// Inserts `entry` at its `(time, sequence)` position, scanning back
+    /// from the tail.
+    fn insert(&mut self, entry: (Cycle, u64, DeferredOp)) {
+        let key = (entry.0, entry.1);
+        let mut i = self.ring.len();
+        while i > 0 && (self.ring[i - 1].0, self.ring[i - 1].1) > key {
+            i -= 1;
+        }
+        self.ring.insert(i, entry);
     }
 
     /// Pops the next operation due at or before `now`.
     pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, DeferredOp)> {
-        if self
-            .heap
-            .peek()
-            .is_some_and(|Reverse((at, _, _))| *at <= now)
-        {
-            self.heap.pop().map(|Reverse((at, _, op))| (at, op))
+        if self.ring.front().is_some_and(|&(at, _, _)| at <= now) {
+            self.ring.pop_front().map(|(at, _, op)| (at, op))
         } else {
             None
         }
@@ -77,46 +88,27 @@ impl DeferredQueue {
     /// Number of operations still queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn sorted_entries(&mut self) -> Vec<(Cycle, u64, DeferredOp)> {
-        let mut v: Vec<_> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .map(|Reverse(e)| e)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    fn rebuild(&mut self, entries: Vec<(Cycle, u64, DeferredOp)>) {
-        self.heap = entries.into_iter().map(Reverse).collect();
+        self.ring.len()
     }
 
     /// Fault injection: delays the `n`-th pending operation (in execution
     /// order) by `extra` cycles, modelling a late DRAM response. Returns
     /// false when fewer than `n + 1` operations are pending.
     pub fn delay_nth(&mut self, n: usize, extra: Cycle) -> bool {
-        let mut v = self.sorted_entries();
-        let hit = n < v.len();
-        if hit {
-            v[n].0 += extra;
+        match self.ring.remove(n) {
+            Some((at, seq, op)) => {
+                self.insert((at + extra, seq, op));
+                true
+            }
+            None => false,
         }
-        self.rebuild(v);
-        hit
     }
 
     /// Fault injection: drops the `n`-th pending operation, modelling a
     /// lost DRAM response (the background write never happens). Returns
     /// false when fewer than `n + 1` operations are pending.
     pub fn drop_nth(&mut self, n: usize) -> bool {
-        let mut v = self.sorted_entries();
-        let hit = n < v.len();
-        if hit {
-            v.remove(n);
-        }
-        self.rebuild(v);
-        hit
+        self.ring.remove(n).is_some()
     }
 
     /// Fault injection: enqueues a second copy of the `n`-th pending
@@ -124,11 +116,8 @@ impl DeferredQueue {
     /// replayed, costing bandwidth). Returns false when fewer than `n + 1`
     /// operations are pending.
     pub fn duplicate_nth(&mut self, n: usize) -> bool {
-        let v = self.sorted_entries();
-        let dup = v.get(n).map(|&(at, _, op)| (at, op));
-        self.rebuild(v);
-        match dup {
-            Some((at, op)) => {
+        match self.ring.get(n) {
+            Some(&(at, _, op)) => {
                 self.push(at, op);
                 true
             }
@@ -139,7 +128,7 @@ impl DeferredQueue {
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.ring.is_empty()
     }
 }
 
@@ -180,31 +169,197 @@ impl bimodal_ckpt::Snapshot for DeferredOp {
 
 impl bimodal_ckpt::Snapshot for DeferredQueue {
     fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        // A BinaryHeap iterates in arbitrary order; sort so the snapshot
-        // bytes are deterministic for a given logical queue state.
-        let mut entries: Vec<(Cycle, u64, DeferredOp)> =
-            self.heap.iter().map(|Reverse(e)| *e).collect();
-        entries.sort_unstable();
-        entries.save(w);
+        // Entries in execution order, so the bytes are deterministic for
+        // a given logical queue state.
+        self.ring.save(w);
         w.u64(self.seq);
     }
 
     fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        let entries: Vec<(Cycle, u64, DeferredOp)> = bimodal_ckpt::Snapshot::load(r)?;
+        let mut ring: VecDeque<(Cycle, u64, DeferredOp)> = bimodal_ckpt::Snapshot::load(r)?;
         let seq = r.u64()?;
-        if entries.iter().any(|&(_, s, _)| s >= seq) {
+        if ring.iter().any(|&(_, s, _)| s >= seq) {
             return Err(r.corrupt("deferred entry sequence number beyond next seq"));
         }
-        let mut q = DeferredQueue::new();
-        q.rebuild(entries);
-        q.seq = seq;
-        Ok(q)
+        // Any entry order loads; the ring must be in execution order.
+        ring.make_contiguous().sort_unstable();
+        Ok(DeferredQueue { ring, seq })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bimodal_ckpt::{Snapshot as _, SnapshotWriter};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The min-heap the ring replaced, kept as the reference the
+    /// differential test checks the ring against.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<(Cycle, u64, DeferredOp)>>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, at: Cycle, op: DeferredOp) {
+            self.heap.push(Reverse((at, self.seq, op)));
+            self.seq += 1;
+        }
+
+        fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, DeferredOp)> {
+            if self
+                .heap
+                .peek()
+                .is_some_and(|Reverse((at, _, _))| *at <= now)
+            {
+                self.heap.pop().map(|Reverse((at, _, op))| (at, op))
+            } else {
+                None
+            }
+        }
+
+        fn sorted(&self) -> Vec<(Cycle, u64, DeferredOp)> {
+            let mut v: Vec<_> = self.heap.iter().map(|Reverse(e)| *e).collect();
+            v.sort_unstable();
+            v
+        }
+
+        fn rebuild(&mut self, v: Vec<(Cycle, u64, DeferredOp)>) {
+            self.heap = v.into_iter().map(Reverse).collect();
+        }
+
+        fn delay_nth(&mut self, n: usize, extra: Cycle) -> bool {
+            let mut v = self.sorted();
+            let hit = n < v.len();
+            if hit {
+                v[n].0 += extra;
+            }
+            self.rebuild(v);
+            hit
+        }
+
+        fn drop_nth(&mut self, n: usize) -> bool {
+            let mut v = self.sorted();
+            let hit = n < v.len();
+            if hit {
+                v.remove(n);
+            }
+            self.rebuild(v);
+            hit
+        }
+
+        fn duplicate_nth(&mut self, n: usize) -> bool {
+            match self.sorted().get(n) {
+                Some(&(at, _, op)) => {
+                    self.push(at, op);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            self.sorted().save(&mut w);
+            w.u64(self.seq);
+            w.into_bytes()
+        }
+    }
+
+    fn snapshot(q: &DeferredQueue) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        q.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// SplitMix64: a dependency-free stream of test draws.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn ring_matches_the_binary_heap_op_for_op() {
+        for seed in [1u64, 0xB10DA1, 29] {
+            let mut rng = seed;
+            let mut ring = DeferredQueue::new();
+            let mut heap = HeapQueue::default();
+            let mut now: Cycle = 0;
+            for step in 0..6000 {
+                let ctx = format!("seed {seed}, step {step}");
+                let pending = ring.len().max(1) as u64;
+                match draw(&mut rng) % 100 {
+                    0..=54 => {
+                        // Mostly due after everything queued, sometimes
+                        // earlier, often at the same cycle as a neighbour.
+                        let at = now + draw(&mut rng) % 400;
+                        let op = if draw(&mut rng).is_multiple_of(2) {
+                            DeferredOp::CacheWrite {
+                                loc: Location::new(0, 0, (step % 8) as u32, step % 5),
+                                bytes: 64,
+                                class: TrafficClass::DataFill,
+                            }
+                        } else {
+                            DeferredOp::MainWrite {
+                                addr: step * 64,
+                                bytes: 64,
+                                class: TrafficClass::Writeback,
+                            }
+                        };
+                        ring.push(at, op);
+                        heap.push(at, op);
+                    }
+                    55..=84 => {
+                        now += draw(&mut rng) % 300;
+                        loop {
+                            let got = ring.pop_due(now);
+                            assert_eq!(got, heap.pop_due(now), "{ctx}");
+                            if got.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                    85..=89 => {
+                        let n = (draw(&mut rng) % (pending + 1)) as usize;
+                        let extra = draw(&mut rng) % 500;
+                        assert_eq!(ring.delay_nth(n, extra), heap.delay_nth(n, extra), "{ctx}");
+                    }
+                    90..=94 => {
+                        let n = (draw(&mut rng) % (pending + 1)) as usize;
+                        assert_eq!(ring.drop_nth(n), heap.drop_nth(n), "{ctx}");
+                    }
+                    _ => {
+                        let n = (draw(&mut rng) % (pending + 1)) as usize;
+                        assert_eq!(ring.duplicate_nth(n), heap.duplicate_nth(n), "{ctx}");
+                    }
+                }
+                assert_eq!(ring.len(), heap.heap.len(), "{ctx}");
+                assert_eq!(snapshot(&ring), heap.snapshot(), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn load_accepts_entries_in_any_order() {
+        let op = |bytes| DeferredOp::MainWrite {
+            addr: 0,
+            bytes,
+            class: TrafficClass::Writeback,
+        };
+        let mut w = SnapshotWriter::new();
+        vec![(30u64, 2u64, op(3)), (10, 0, op(1)), (30, 1, op(2))].save(&mut w);
+        w.u64(3);
+        let bytes = w.into_bytes();
+        let mut q = DeferredQueue::load(&mut bimodal_ckpt::SnapshotReader::new(&bytes, "q"))
+            .expect("unsorted entries load");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_due(100)).collect();
+        assert_eq!(order, vec![(10, op(1)), (30, op(2)), (30, op(3))]);
+    }
 
     #[test]
     fn pops_in_time_order_and_only_when_due() {

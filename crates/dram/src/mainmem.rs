@@ -59,7 +59,8 @@ impl MainMemory {
         let mut last: Completion;
         loop {
             let d = self.mapping.decode(cursor);
-            let in_row = row_bytes - (d.column % row_bytes);
+            // `column` is the offset within the row, already below it.
+            let in_row = row_bytes - d.column;
             let chunk = remaining.min(in_row);
             last = self.module.access(Request {
                 loc: d.loc,

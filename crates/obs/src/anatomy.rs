@@ -302,18 +302,31 @@ pub fn take_dram() -> Option<DramSegments> {
 /// (e.g. [`Component::TagProbe`] for a tag read,
 /// [`Component::DataBurst`] for the data column access).
 pub fn charge_segments(s: DramSegments, data: Component) {
-    let deferred = s.deferred.min(s.wait);
-    add(Component::QueueWait, (s.wait - deferred) + s.bus);
-    add(Component::DeferredWait, deferred);
-    add(Component::BankConflict, s.prep);
-    add(data, s.cas + s.burst);
+    CUR.with(|c| c.borrow_mut().charge(s, data));
 }
 
 /// Consumes the last DRAM note (if any) and folds it into the access
 /// via [`charge_segments`].
 pub fn charge_dram(data: Component) {
-    if let Some(s) = take_dram() {
-        charge_segments(s, data);
+    CUR.with(|c| {
+        let mut b = c.borrow_mut();
+        if b.has_note {
+            b.has_note = false;
+            let s = b.note;
+            b.charge(s, data);
+        }
+    });
+}
+
+impl AccessBuilder {
+    /// The body of [`charge_segments`], under the caller's one borrow.
+    #[inline]
+    fn charge(&mut self, s: DramSegments, data: Component) {
+        let deferred = s.deferred.min(s.wait);
+        self.comps[Component::QueueWait.index()] += (s.wait - deferred) + s.bus;
+        self.comps[Component::DeferredWait.index()] += deferred;
+        self.comps[Component::BankConflict.index()] += s.prep;
+        self.comps[data.index()] += s.cas + s.burst;
     }
 }
 
@@ -385,9 +398,11 @@ pub fn record_background_offchip(class: TrafficClass, cycles: u64) {
 }
 
 /// Drains the thread's background tally, returning it when anything was
-/// recorded since the last take. The engine merges this into the run's
-/// [`AnatomyStats`] after each access; the dirty flag keeps the common
-/// nothing-drained case to one thread-local read.
+/// recorded since the last take. The tally is a plain sum, so the engine
+/// merges it into the run's [`AnatomyStats`] only where the accumulator
+/// is read or reset (the warm-up reset, each checkpoint, the end of the
+/// run); the dirty flag keeps a nothing-drained take to one thread-local
+/// read.
 pub fn take_background() -> Option<BackgroundTally> {
     if !BACKGROUND_DIRTY.with(Cell::get) {
         return None;

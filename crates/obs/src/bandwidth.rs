@@ -11,8 +11,6 @@
 //! profile. Counters are plain adds on paths the timing model already
 //! executes, so attribution is always on and never perturbs timing.
 
-use std::collections::HashMap;
-
 use crate::hist::HistSummary;
 use crate::json::Json;
 
@@ -304,11 +302,18 @@ pub struct BandwidthTracker {
     /// Cycles only — bank occupancy moves no bytes — so each bank's
     /// counters span half the cache footprint of a [`ClassCounters`].
     banks: Vec<[u64; TRAFFIC_CLASSES]>,
-    /// `(bank index, row) -> accesses`, recorded only when enabled (the
-    /// hash insert is the one non-trivial cost in this module).
-    heatmap: HashMap<(u32, u64), u64>,
+    /// Per-bank access counts indexed by row, recorded only when
+    /// enabled. Each bank's table grows to the highest row touched; rows
+    /// come from the cache layouts, so tables stay a few thousand
+    /// entries long even at the Table IV 128 MB size.
+    heatmap: Vec<Vec<u64>>,
     heatmap_enabled: bool,
 }
+
+/// Rows at or above this never load from a checkpoint: 64x the per-bank
+/// row count of the whole 128 MB Table IV cache, so a crafted file
+/// cannot make restore allocate without limit.
+const HEATMAP_ROW_LIMIT: u64 = 1 << 22;
 
 impl BandwidthTracker {
     /// A tracker for a module with `channels` channels and `banks`
@@ -318,7 +323,7 @@ impl BandwidthTracker {
         BandwidthTracker {
             channels: vec![ChannelBandwidth::default(); channels],
             banks: vec![[0; TRAFFIC_CLASSES]; banks],
-            heatmap: HashMap::new(),
+            heatmap: vec![Vec::new(); banks],
             heatmap_enabled: false,
         }
     }
@@ -354,12 +359,18 @@ impl BandwidthTracker {
     #[inline]
     pub fn record_access(&mut self, bank: u32, row: u64) {
         if self.heatmap_enabled {
-            *self.heatmap.entry((bank, row)).or_insert(0) += 1;
+            let rows = &mut self.heatmap[bank as usize];
+            let row = usize::try_from(row).expect("row fits usize");
+            if row >= rows.len() {
+                rows.resize(row + 1, 0);
+            }
+            rows[row] += 1;
         }
     }
 
-    /// Turns the per-set heatmap on (kept off by default: the hash
-    /// insert is the one cost that is not a plain array add).
+    /// Turns the per-set heatmap on (kept off by default: its tables
+    /// grow with the rows touched, the one cost in this module that is
+    /// not a fixed-size array add).
     pub fn enable_heatmap(&mut self) {
         self.heatmap_enabled = true;
     }
@@ -374,6 +385,21 @@ impl BandwidthTracker {
     #[must_use]
     pub fn banks(&self) -> &[[u64; TRAFFIC_CLASSES]] {
         &self.banks
+    }
+
+    /// Heatmap entries with a non-zero count, in `(bank, row)` order.
+    fn heatmap_entries(&self) -> impl Iterator<Item = HotSet> + '_ {
+        self.heatmap.iter().enumerate().flat_map(|(bank, rows)| {
+            let bank = u32::try_from(bank).expect("bank index fits u32");
+            rows.iter()
+                .enumerate()
+                .filter(|&(_, &accesses)| accesses > 0)
+                .map(move |(row, &accesses)| HotSet {
+                    bank,
+                    row: row as u64,
+                    accesses,
+                })
+        })
     }
 
     /// Cumulative per-channel busy cycles by class — the counter-event
@@ -391,7 +417,9 @@ impl BandwidthTracker {
         for b in &mut self.banks {
             *b = [0; TRAFFIC_CLASSES];
         }
-        self.heatmap.clear();
+        for rows in &mut self.heatmap {
+            rows.clear();
+        }
     }
 
     /// Report-ready summary. `elapsed_cycles` is the simulated span the
@@ -420,15 +448,7 @@ impl BandwidthTracker {
             }
         }
         // Deterministic top-K: by count descending, then (bank, row).
-        let mut hot: Vec<HotSet> = self
-            .heatmap
-            .iter()
-            .map(|(&(bank, row), &accesses)| HotSet {
-                bank,
-                row,
-                accesses,
-            })
-            .collect();
+        let mut hot: Vec<HotSet> = self.heatmap_entries().collect();
         hot.sort_unstable_by(|a, b| {
             b.accesses
                 .cmp(&a.accesses)
@@ -763,22 +783,50 @@ impl Snapshot for BandwidthTracker {
     fn save(&self, w: &mut SnapshotWriter) {
         self.channels.save(w);
         self.banks.save(w);
-        // HashMap iteration order is arbitrary; sort so equal trackers
-        // serialize to equal bytes.
-        let mut hot: Vec<((u32, u64), u64)> = self.heatmap.iter().map(|(&k, &v)| (k, v)).collect();
-        hot.sort_unstable();
+        // The non-zero counts as `((bank, row), accesses)` in (bank, row)
+        // order.
+        let hot: Vec<((u32, u64), u64)> = self
+            .heatmap_entries()
+            .map(|h| ((h.bank, h.row), h.accesses))
+            .collect();
         hot.save(w);
         w.bool(self.heatmap_enabled);
     }
 
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, CkptError> {
         let channels = Snapshot::load(r)?;
-        let banks = Snapshot::load(r)?;
+        let banks: Vec<[u64; TRAFFIC_CLASSES]> = Snapshot::load(r)?;
         let hot: Vec<((u32, u64), u64)> = Snapshot::load(r)?;
+        let mut heatmap: Vec<Vec<u64>> = vec![Vec::new(); banks.len()];
+        let mut prev: Option<(u32, u64)> = None;
+        for (i, &((bank, row), accesses)) in hot.iter().enumerate() {
+            let what = format!("heatmap entry {i} (bank {bank}, row {row})");
+            let Some(rows) = heatmap.get_mut(bank as usize) else {
+                return Err(r.corrupt(format!(
+                    "{what}: bank out of range for {} banks",
+                    banks.len()
+                )));
+            };
+            if prev.is_some_and(|p| p >= (bank, row)) {
+                return Err(r.corrupt(format!(
+                    "{what}: entries are not strictly increasing in (bank, row)"
+                )));
+            }
+            if accesses == 0 {
+                return Err(r.corrupt(format!("{what}: zero access count")));
+            }
+            if row >= HEATMAP_ROW_LIMIT {
+                return Err(r.corrupt(format!("{what}: row at or above {HEATMAP_ROW_LIMIT}")));
+            }
+            let row = row as usize;
+            rows.resize(row + 1, 0);
+            rows[row] = accesses;
+            prev = Some((bank, row as u64));
+        }
         Ok(BandwidthTracker {
             channels,
             banks,
-            heatmap: hot.into_iter().collect(),
+            heatmap,
             heatmap_enabled: r.bool()?,
         })
     }
@@ -795,6 +843,7 @@ bimodal_ckpt::snapshot_fields! { BandwidthSeries { samples } }
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn class_indices_match_all_order() {
@@ -873,6 +922,136 @@ mod tests {
         assert!(t.summary(10, 4).hot_sets.is_empty());
         t.record_access(0, 3);
         assert_eq!(t.summary(10, 4).hot_sets.len(), 1, "still enabled");
+    }
+
+    /// SplitMix64: a dependency-free stream of test draws.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn tracker_bytes(t: &BandwidthTracker) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        t.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// The hashed heatmap the dense tables replaced: its top-K and its
+    /// snapshot bytes, for the differential test.
+    fn reference_hot_sets(map: &HashMap<(u32, u64), u64>, top_k: usize) -> Vec<HotSet> {
+        let mut hot: Vec<HotSet> = map
+            .iter()
+            .map(|(&(bank, row), &accesses)| HotSet {
+                bank,
+                row,
+                accesses,
+            })
+            .collect();
+        hot.sort_unstable_by(|a, b| {
+            b.accesses
+                .cmp(&a.accesses)
+                .then(a.bank.cmp(&b.bank))
+                .then(a.row.cmp(&b.row))
+        });
+        hot.truncate(top_k);
+        hot
+    }
+
+    fn reference_bytes(t: &BandwidthTracker, map: &HashMap<(u32, u64), u64>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        t.channels.save(&mut w);
+        t.banks.save(&mut w);
+        let mut hot: Vec<((u32, u64), u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+        hot.sort_unstable();
+        hot.save(&mut w);
+        w.bool(t.heatmap_enabled);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn dense_heatmap_matches_a_hash_map_op_for_op() {
+        for seed in [1u64, 0xB10DA1, 29] {
+            let mut rng = seed;
+            let mut t = BandwidthTracker::new(2, 16);
+            t.enable_heatmap();
+            let mut map: HashMap<(u32, u64), u64> = HashMap::new();
+            for step in 0..5000 {
+                let ctx = format!("seed {seed}, step {step}");
+                if draw(&mut rng).is_multiple_of(1000) {
+                    t.reset();
+                    map.clear();
+                } else {
+                    let bank = (draw(&mut rng) % 16) as u32;
+                    // A skewed row draw, so some sets run hot and counts tie.
+                    let row = draw(&mut rng) % (1 + draw(&mut rng) % 600);
+                    t.record_access(bank, row);
+                    *map.entry((bank, row)).or_insert(0) += 1;
+                }
+                if step % 97 == 0 || step == 4999 {
+                    for top_k in [0, 1, 8, 10_000] {
+                        assert_eq!(
+                            t.summary(1_000, top_k).hot_sets,
+                            reference_hot_sets(&map, top_k),
+                            "{ctx}, top {top_k}"
+                        );
+                    }
+                    let bytes = tracker_bytes(&t);
+                    assert_eq!(bytes, reference_bytes(&t, &map), "{ctx}");
+                    let back = BandwidthTracker::load(&mut SnapshotReader::new(&bytes, "bw"))
+                        .expect("round trip");
+                    assert_eq!(back, t, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// Saves a one-channel, two-bank tracker whose heatmap is `entries`,
+    /// and loads it back.
+    fn load_heatmap(entries: &[((u32, u64), u64)]) -> Result<BandwidthTracker, CkptError> {
+        let t = BandwidthTracker::new(1, 2);
+        let mut w = SnapshotWriter::new();
+        t.channels.save(&mut w);
+        t.banks.save(&mut w);
+        entries.to_vec().save(&mut w);
+        w.bool(true);
+        let bytes = w.into_bytes();
+        BandwidthTracker::load(&mut SnapshotReader::new(&bytes, "bw"))
+    }
+
+    #[test]
+    fn heatmap_restore_rejects_each_malformed_entry() {
+        let ok = load_heatmap(&[((0, 3), 2), ((1, 0), 1), ((1, (1 << 22) - 1), 5)])
+            .expect("well-formed entries load");
+        assert_eq!(ok.summary(1, 1).hot_sets[0].row, (1 << 22) - 1);
+        for (entries, want) in [
+            (
+                vec![((2u32, 0u64), 1u64)],
+                "entry 0 (bank 2, row 0): bank out of range",
+            ),
+            (
+                vec![((0, 5), 1), ((0, 5), 1)],
+                "entry 1 (bank 0, row 5): entries are not strictly",
+            ),
+            (
+                vec![((1, 0), 1), ((0, 9), 1)],
+                "entry 1 (bank 0, row 9): entries are not strictly",
+            ),
+            (
+                vec![((0, 1), 1), ((0, 2), 0)],
+                "entry 1 (bank 0, row 2): zero access count",
+            ),
+            (vec![((0, 1 << 22), 1)], "row at or above 4194304"),
+        ] {
+            match load_heatmap(&entries) {
+                Err(CkptError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(want), "{entries:?}: {detail}");
+                }
+                other => panic!("{entries:?}: expected a Corrupt error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

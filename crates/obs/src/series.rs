@@ -138,13 +138,22 @@ impl EpochRecorder {
         self.epoch_cycles
     }
 
+    /// Whether `now` has crossed the next epoch boundary, i.e. whether
+    /// [`EpochRecorder::observe`] at `now` would close an epoch. Lets the
+    /// caller build the counters only when they will be read.
+    #[inline]
+    #[must_use]
+    pub fn due(&self, now: u64) -> bool {
+        now >= self.next_boundary
+    }
+
     /// Offers the current cumulative counters at simulated time `now`;
     /// closes (possibly several) epochs if `now` crossed a boundary.
     /// The first branch makes this O(1) and branch-predictable in the
     /// common no-boundary case.
     #[inline]
     pub fn observe(&mut self, now: u64, counters: &Counters, queue_occupancy: u64) {
-        if now < self.next_boundary {
+        if !self.due(now) {
             return;
         }
         self.epochs.push(EpochSnapshot {

@@ -254,6 +254,9 @@ pub struct AccessContext {
 /// access (prefetches and LLSC writebacks are not hooked). Resilience
 /// campaigns use these to inject faults and cross-check a shadow model;
 /// the default bodies do nothing, so a hook only pays for what it uses.
+/// Mid-run, the observer's anatomy lacks the background (drained-op)
+/// tally since the last warm-up reset or checkpoint; the engine folds it
+/// in before the report.
 pub trait RunHook {
     /// Called before the access is issued to the scheme.
     fn on_access(
@@ -670,9 +673,6 @@ impl Engine {
                     let rec = anatomy::finish_access(latency);
                     if let Some(a) = obs.anatomy.as_mut() {
                         a.record(class, outcome.hit, latency, &rec);
-                        if let Some(bg) = anatomy::take_background() {
-                            a.merge_background(&bg);
-                        }
                     }
                     if let Some(j) = obs.journeys.as_mut() {
                         j.maybe_record(Journey {
@@ -724,9 +724,6 @@ impl Engine {
                             let rec = anatomy::finish_access(lat);
                             if let Some(a) = obs.anatomy.as_mut() {
                                 a.record(RequestClass::Prefetch, po.hit, lat, &rec);
-                                if let Some(bg) = anatomy::take_background() {
-                                    a.merge_background(&bg);
-                                }
                             }
                         }
                     }
@@ -762,13 +759,15 @@ impl Engine {
             issued_total += 1;
             if obs.is_enabled() {
                 let _g = span::enter(SpanId::EpochObserve);
-                let c = cumulative_counters(&*scheme, mem, &epoch_base);
-                let queued = mem.deferred_pending() as u64;
-                let epochs_before = obs.epochs.epochs().len();
-                obs.epochs.observe(now, &c, queued);
-                if obs.epochs.epochs().len() > epochs_before {
-                    // An epoch closed: sample the cumulative per-channel
-                    // class cycles for the counter-event trace lanes.
+                // The counters are built only when an epoch closes; the
+                // span stays entered on every access so `--profile` call
+                // counts do not depend on the epoch length.
+                if obs.epochs.due(now) {
+                    let c = cumulative_counters(&*scheme, mem, &epoch_base);
+                    let queued = mem.deferred_pending() as u64;
+                    obs.epochs.observe(now, &c, queued);
+                    // Sample the cumulative per-channel class cycles for
+                    // the counter-event trace lanes.
                     obs.bandwidth
                         .push(now, mem.cache_dram.bandwidth().channel_class_cycles());
                 }
@@ -787,6 +786,9 @@ impl Engine {
                     // series stays monotone across the reset; histograms
                     // restart so they describe the measured portion only.
                     epoch_base = cumulative_counters(&*scheme, mem, &epoch_base);
+                    if anatomy_on {
+                        fold_background(obs);
+                    }
                     obs.reset_measurement();
                     obs.timers.mark("warmup");
                 }
@@ -837,6 +839,9 @@ impl Engine {
                 if issued_total.is_multiple_of(spec.every)
                     && cores.iter().any(|c| c.finished_at.is_none())
                 {
+                    if anatomy_on {
+                        fold_background(obs);
+                    }
                     save_run(
                         spec,
                         &fingerprint,
@@ -859,6 +864,9 @@ impl Engine {
             }
         }
 
+        if anatomy_on {
+            fold_background(obs);
+        }
         scheme.finalize();
         let end_cycle = cores.iter().map(|c| c.frontier).max().unwrap_or(0);
         if obs.is_enabled() {
@@ -910,6 +918,17 @@ impl Engine {
             profile,
             anatomy: obs.anatomy.as_ref().map(|a| a.summarize()),
         })
+    }
+}
+
+/// Merges the drained-operation tally the thread-local has gathered since
+/// the last fold into the run's anatomy. The tally is a plain sum, so
+/// folding only where the accumulator is read or reset (the warm-up
+/// reset, each checkpoint, the end of the run) gives the same totals as
+/// folding after every access, without copying it out each time.
+fn fold_background(obs: &mut Observer) {
+    if let (Some(a), Some(bg)) = (obs.anatomy.as_mut(), anatomy::take_background()) {
+        a.merge_background(&bg);
     }
 }
 
