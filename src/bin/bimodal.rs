@@ -114,7 +114,8 @@ fn usage() -> &'static str {
      \x20                   runs the bounded in-memory ring would truncate)\n\
      \x20 --sample-every N  record every N-th access in the event trace\n\
      \x20                   (default 1; raise for long traced runs)\n\
-     \x20 --epoch CYCLES    epoch length for the time series (default 100000)\n\
+     \x20 --epoch CYCLES    epoch length for the time series (default 100000;\n\
+     \x20                   at least 1)\n\
      \x20 --exact-tails[=N] reservoir-sample latencies for exact tail\n\
      \x20                   percentiles (default capacity 4096)\n\
      \x20 --heartbeat SECS  periodic progress line on stderr; with --jobs N\n\
@@ -291,10 +292,18 @@ fn configured_system(
         if mlp == 0 {
             return Err("--mlp must be at least 1".to_owned());
         }
+        if mlp > MAX_MLP {
+            return Err(format!("--mlp must be at most {MAX_MLP} (got {mlp})"));
+        }
         system = system.with_mlp(mlp);
     }
     Ok(system)
 }
+
+/// Largest `--mlp`: well above any MSHR count the core model stands for,
+/// and small enough that the engine's per-core in-flight lists, sized
+/// up front, stay small.
+const MAX_MLP: u32 = 64;
 
 /// `--prefetch N` (next-N-lines) or `--prefetch N:bypass` (bypass fills
 /// on prefetch misses, Table VI).
@@ -357,10 +366,14 @@ fn build_observer(flags: &HashMap<String, String>) -> Result<Observer, String> {
     ]
     .iter()
     .any(|k| flags.contains_key(*k));
+    let epoch: u64 = num(flags, "epoch", 100_000)?;
+    if epoch == 0 {
+        return Err("--epoch must be at least 1 cycle".to_owned());
+    }
     if !observing {
         return Ok(Observer::disabled());
     }
-    let mut cfg = ObserverConfig::default().with_epoch_cycles(num(flags, "epoch", 100_000u64)?);
+    let mut cfg = ObserverConfig::default().with_epoch_cycles(epoch);
     if flags.contains_key("trace-out") {
         let sample_every: u32 = num(flags, "sample-every", 1)?;
         if sample_every == 0 {
@@ -2556,5 +2569,36 @@ mod tests {
             allowed.sort_unstable();
             assert_eq!(flags, allowed, "{command}: synopsis flags vs allowed_flags");
         }
+    }
+
+    fn one_flag(key: &str, value: &str) -> HashMap<String, String> {
+        HashMap::from([(key.to_owned(), value.to_owned())])
+    }
+
+    #[test]
+    fn mlp_is_bounded_at_parse_time() {
+        let mlp = |v: &str| configured_system(SystemConfig::quad_core(), &one_flag("mlp", v));
+        assert_eq!(mlp("1").map(|s| s.mlp), Ok(1));
+        assert_eq!(mlp("64").map(|s| s.mlp), Ok(64));
+        // Parsed only: an engine sized for this many in-flight misses
+        // per core would try to reserve them all up front.
+        for bad in ["0", "65", "4294967295"] {
+            let err = mlp(bad).expect_err(bad);
+            assert!(err.starts_with("--mlp "), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn epoch_zero_is_rejected_with_or_without_observing() {
+        let mut flags = one_flag("epoch", "0");
+        for observing in [false, true] {
+            if observing {
+                flags.insert("anatomy".to_owned(), String::new());
+            }
+            let err = build_observer(&flags).expect_err("epoch 0");
+            assert!(err.starts_with("--epoch "), "{err}");
+        }
+        flags.insert("epoch".to_owned(), "1".to_owned());
+        assert!(build_observer(&flags).is_ok_and(|o| o.is_enabled()));
     }
 }

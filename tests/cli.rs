@@ -510,6 +510,19 @@ fn bad_flag_values_fail_naming_the_flag() {
             "run --mix Q2 --scheme bimodal --accesses 100 --heartbeat -1",
             "--heartbeat",
         ),
+        (
+            "run --mix Q2 --scheme bimodal --accesses 100 --mlp 65",
+            "--mlp",
+        ),
+        ("compare --mix Q2 --accesses 100 --mlp 65", "--mlp"),
+        (
+            "run --mix Q2 --scheme bimodal --accesses 100 --epoch 0",
+            "--epoch",
+        ),
+        (
+            "run --mix Q2 --scheme bimodal --accesses 100 --anatomy --epoch 0",
+            "--epoch",
+        ),
     ] {
         let out = bimodal()
             .args(command.split_whitespace())
