@@ -153,15 +153,6 @@ mod tests {
         }
     }
 
-    /// SplitMix64: a dependency-free stream of test draws.
-    fn draw(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// The `%` and `/` decode the masks and shifts replaced.
     fn decode_by_division(m: &AddressMapping, addr: u64) -> DecodedAddress {
         let column = addr % m.row_bytes;
@@ -185,7 +176,7 @@ mod tests {
             for config in [b.backend().stacked(2, 8), b.backend().offchip(4, 2)] {
                 let m = AddressMapping::new(&config);
                 for _ in 0..20_000 {
-                    let addr = draw(&mut rng) >> 1;
+                    let addr = crate::test_draw(&mut rng) >> 1;
                     let d = m.decode(addr);
                     assert_eq!(d, decode_by_division(&m, addr), "{} {addr:#x}", b.name());
                     assert_eq!(m.encode_row(d.loc) + u64::from(d.column), addr);

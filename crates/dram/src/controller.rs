@@ -760,15 +760,6 @@ mod tests {
         assert_eq!(s.class_totals.cycles[TrafficClass::Refresh.index()], 0);
     }
 
-    /// SplitMix64: a dependency-free stream of test draws.
-    fn draw(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Every configuration the five backends build, stacked and off-chip.
     fn backend_configs() -> Vec<(String, DramConfig)> {
         crate::BackendKind::ALL
@@ -837,14 +828,23 @@ mod tests {
             };
             let (mut before, mut inside, mut after) = (0, 0, 0);
             for step in 0..20_000 {
-                let idx = (draw(&mut rng) % n as u64) as usize;
+                let idx = (crate::test_draw(&mut rng) % n as u64) as usize;
                 let start = reference.bank_epoch[idx] * refi;
                 // Inside the bank's epoch, before it (refresh windows of
                 // earlier epochs included) or up to three epochs after it.
-                let t = match draw(&mut rng) % 4 {
-                    0 => start.saturating_sub(draw(&mut rng) % (3 * refi)),
-                    1 => start + draw(&mut rng) % (3 * refi),
-                    _ => start + draw(&mut rng) % refi,
+                let t = match crate::test_draw(&mut rng) % 5 {
+                    0 => start.saturating_sub(crate::test_draw(&mut rng) % (3 * refi)),
+                    1 => start + crate::test_draw(&mut rng) % (3 * refi),
+                    // The edges of the epoch and of its refresh window.
+                    2 => [
+                        start.saturating_sub(1),
+                        start,
+                        start + rfc - 1,
+                        start + rfc,
+                        start + refi - 1,
+                        start + refi,
+                    ][(crate::test_draw(&mut rng) % 6) as usize],
+                    _ => start + crate::test_draw(&mut rng) % refi,
                 };
                 if t < start {
                     before += 1;

@@ -274,15 +274,6 @@ mod tests {
         w.into_bytes()
     }
 
-    /// SplitMix64: a dependency-free stream of test draws.
-    fn draw(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn ring_matches_the_binary_heap_op_for_op() {
         for seed in [1u64, 0xB10DA1, 29] {
@@ -293,12 +284,12 @@ mod tests {
             for step in 0..6000 {
                 let ctx = format!("seed {seed}, step {step}");
                 let pending = ring.len().max(1) as u64;
-                match draw(&mut rng) % 100 {
+                match crate::test_draw(&mut rng) % 100 {
                     0..=54 => {
                         // Mostly due after everything queued, sometimes
                         // earlier, often at the same cycle as a neighbour.
-                        let at = now + draw(&mut rng) % 400;
-                        let op = if draw(&mut rng).is_multiple_of(2) {
+                        let at = now + crate::test_draw(&mut rng) % 400;
+                        let op = if crate::test_draw(&mut rng).is_multiple_of(2) {
                             DeferredOp::CacheWrite {
                                 loc: Location::new(0, 0, (step % 8) as u32, step % 5),
                                 bytes: 64,
@@ -315,7 +306,7 @@ mod tests {
                         heap.push(at, op);
                     }
                     55..=84 => {
-                        now += draw(&mut rng) % 300;
+                        now += crate::test_draw(&mut rng) % 300;
                         loop {
                             let got = ring.pop_due(now);
                             assert_eq!(got, heap.pop_due(now), "{ctx}");
@@ -325,16 +316,16 @@ mod tests {
                         }
                     }
                     85..=89 => {
-                        let n = (draw(&mut rng) % (pending + 1)) as usize;
-                        let extra = draw(&mut rng) % 500;
+                        let n = (crate::test_draw(&mut rng) % (pending + 1)) as usize;
+                        let extra = crate::test_draw(&mut rng) % 500;
                         assert_eq!(ring.delay_nth(n, extra), heap.delay_nth(n, extra), "{ctx}");
                     }
                     90..=94 => {
-                        let n = (draw(&mut rng) % (pending + 1)) as usize;
+                        let n = (crate::test_draw(&mut rng) % (pending + 1)) as usize;
                         assert_eq!(ring.drop_nth(n), heap.drop_nth(n), "{ctx}");
                     }
                     _ => {
-                        let n = (draw(&mut rng) % (pending + 1)) as usize;
+                        let n = (crate::test_draw(&mut rng) % (pending + 1)) as usize;
                         assert_eq!(ring.duplicate_nth(n), heap.duplicate_nth(n), "{ctx}");
                     }
                 }

@@ -48,6 +48,17 @@ mod stats;
 mod system;
 mod timing;
 
+/// SplitMix64: a dependency-free stream of draws for the differential
+/// tests.
+#[cfg(test)]
+fn test_draw(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 pub use address::{AddressMapping, DecodedAddress};
 pub use backend::{BackendKind, Ddr5, Hbm2, MemBackend, Paper2014, PcmFar, Tdram};
 pub use bank::{Bank, RowEvent};

@@ -786,9 +786,7 @@ impl Engine {
                     // series stays monotone across the reset; histograms
                     // restart so they describe the measured portion only.
                     epoch_base = cumulative_counters(&*scheme, mem, &epoch_base);
-                    if anatomy_on {
-                        fold_background(obs);
-                    }
+                    fold_background(obs);
                     obs.reset_measurement();
                     obs.timers.mark("warmup");
                 }
@@ -839,9 +837,7 @@ impl Engine {
                 if issued_total.is_multiple_of(spec.every)
                     && cores.iter().any(|c| c.finished_at.is_none())
                 {
-                    if anatomy_on {
-                        fold_background(obs);
-                    }
+                    fold_background(obs);
                     save_run(
                         spec,
                         &fingerprint,
@@ -864,9 +860,7 @@ impl Engine {
             }
         }
 
-        if anatomy_on {
-            fold_background(obs);
-        }
+        fold_background(obs);
         scheme.finalize();
         let end_cycle = cores.iter().map(|c| c.frontier).max().unwrap_or(0);
         if obs.is_enabled() {
