@@ -12,9 +12,8 @@
 //!   sinks travel with it), so parallel output is bit-identical to
 //!   serial output.
 //! - [`map_fallible`] is the fault-tolerant variant campaigns use: each
-//!   unit is panic-isolated, retried under a bounded [`RetryPolicy`]
-//!   with jittered exponential backoff, and degrades to a
-//!   [`UnitResult::Failed`] slot instead of sinking the pool.
+//!   unit runs once, panic-isolated, and a unit that fails degrades to a
+//!   [`UnitFailure`] slot instead of sinking the pool.
 //! - [`Manifest`] journals completed units (key + result digest) to an
 //!   append-only, torn-write-tolerant file, so re-invoking a crashed
 //!   campaign skips the work it already finished.
@@ -29,16 +28,15 @@
 //! the pool. Determinism is unaffected: claiming order only decides who
 //! computes a slot, never what lands in it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 mod fleet;
 mod manifest;
-mod retry;
 
 pub use fleet::FleetProgress;
 pub use manifest::{Manifest, MANIFEST_FILE};
-pub use retry::{map_fallible, RetryPolicy, UnitFailure, UnitResult};
 
 /// The host's available parallelism, used as the `--jobs` default.
 ///
@@ -122,6 +120,58 @@ where
         .collect()
 }
 
+/// Why a unit of [`map_fallible`] produced no result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnitFailure {
+    /// The closure's `Err`, or the panic message.
+    pub error: String,
+    /// Whether the unit panicked (vs returned `Err`).
+    pub panicked: bool,
+}
+
+/// Renders a caught panic payload as a message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_owned()
+    }
+}
+
+/// Runs `f(index, item)` over `items` like [`map_indexed`], with each
+/// unit panic-isolated; returns one result per item, in input order.
+///
+/// Unlike [`map_indexed`], a unit that panics or returns `Err` does not
+/// tear down the pool: its slot holds a [`UnitFailure`] and every other
+/// unit still completes. The caller decides what a failed slot means,
+/// typically a `failed` entry in the campaign report and a nonzero exit.
+///
+/// Each unit runs once. A unit is a seeded simulation, so running a
+/// failed one again would fail the same way. A unit that stops making
+/// progress is stopped by the engine's forward-progress watchdog, which
+/// returns an ordinary `Err`; no thread is ever killed mid-unit.
+pub fn map_fallible<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<Result<R, UnitFailure>>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> Result<R, String> + Sync,
+{
+    map_indexed(jobs, items, |index, item| {
+        match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
+            Ok(result) => result.map_err(|error| UnitFailure {
+                error,
+                panicked: false,
+            }),
+            Err(payload) => Err(UnitFailure {
+                error: panic_message(payload.as_ref()),
+                panicked: true,
+            }),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +229,40 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn a_panicking_unit_degrades_without_sinking_the_pool() {
+        let calls = AtomicUsize::new(0);
+        let out = map_fallible(4, (0..8u32).collect(), |_, x| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert!(x != 5, "unit 5 is cursed");
+            Ok::<_, String>(x * 2)
+        });
+        assert_eq!(calls.into_inner(), 8, "every unit runs exactly once");
+        for (i, r) in out.into_iter().enumerate() {
+            if i == 5 {
+                let f = r.expect_err("unit 5 fails");
+                assert!(f.panicked);
+                assert!(f.error.contains("cursed"));
+            } else {
+                assert_eq!(r, Ok(i as u32 * 2), "unit {i} must survive");
+            }
+        }
+    }
+
+    #[test]
+    fn err_returns_are_not_panics() {
+        let out = map_fallible(1, vec![()], |_, ()| {
+            Err::<u8, _>("typed failure".to_owned())
+        });
+        assert_eq!(
+            out,
+            vec![Err(UnitFailure {
+                error: "typed failure".to_owned(),
+                panicked: false
+            })]
+        );
     }
 
     #[test]

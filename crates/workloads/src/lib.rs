@@ -39,10 +39,8 @@ mod access;
 mod mix;
 mod program;
 mod spec;
-mod trace_io;
 
 pub use access::Access;
 pub use mix::{all_eight_core, all_quad, all_sixteen_core, WorkloadMix};
 pub use program::{ProgramTrace, SpatialProfile, TemporalProfile, WorkloadSpec};
 pub use spec::{spec_names, spec_profile};
-pub use trace_io::{read_trace, write_trace, FileTrace, TraceError};

@@ -8,7 +8,6 @@
 //! bimodal compare --mix Q3 --json compare.json
 //! bimodal antt --mix E2 --scheme bimodal
 //! bimodal sweep --mix Q3
-//! bimodal record --program mcf --out mcf.bmt --n 100000
 //! ```
 
 use std::collections::HashMap;
@@ -16,7 +15,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bimodal::exec::{FleetProgress, Manifest, RetryPolicy, UnitResult};
+use bimodal::exec::{FleetProgress, Manifest};
 use bimodal::faults::{CampaignConfig, CampaignReport, FaultRates};
 use bimodal::obs::{
     Heartbeat, Json, MetricValue, MetricsRegistry, ObsSummary, Observer, ObserverConfig,
@@ -25,7 +24,7 @@ use bimodal::obs::{
 use bimodal::prelude::*;
 use bimodal::selfbench::GateOutcome;
 use bimodal::sim::{sweep, CheckpointSpec, PrefetchMode, WatchdogConfig};
-use bimodal::workloads::{spec_names, spec_profile, write_trace};
+use bimodal::workloads::{spec_names, spec_profile};
 
 fn usage() -> &'static str {
     "usage: bimodal <command> [--flag value | --flag=value]...\n\
@@ -52,7 +51,6 @@ fn usage() -> &'static str {
      \x20         [--heartbeat SECS]\n\
      \x20 sweep   --mix <M> [--backend B] [--accesses N] [--cache-mb C] [--seed K] [--jobs N]\n\
      \x20         [--json FILE] [--heartbeat SECS] [--manifest DIR]\n\
-     \x20 record  --program <P> --out <FILE> [--n N] [--seed K]\n\
      \x20 inject  --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--cache-mb C]\n\
      \x20         [--seed K] [--seeds N] [--warmup N] [--mlp N]\n\
      \x20         [--metadata-rate P] [--multi-bit P] [--locator-rate P]\n\
@@ -61,7 +59,7 @@ fn usage() -> &'static str {
      \x20         [--jobs N] [--json FILE] [--trace-out FILE [--sample-every N]]\n\
      \x20         [--epoch CYCLES] [--exact-tails[=N]] [--heartbeat SECS]\n\
      \x20         [--metrics-out FILE] [--metrics-format json|prom]\n\
-     \x20         [--manifest DIR] [--retries N] [--retry-backoff-ms MS]\n\
+     \x20         [--manifest DIR]\n\
      \x20 bench   [--quick] [--backend B] [--jobs N] [--min-speedup X] [--out FILE]\n\
      \x20         [--history FILE] [--check-history] [--window N] [--max-regress PCT]\n\
      \x20 bandwidth --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--cache-mb C]\n\
@@ -98,9 +96,6 @@ fn usage() -> &'static str {
      \x20                      byte-identical to an uninterrupted run\n\
      \x20 --manifest DIR       journal finished campaign units in DIR and skip\n\
      \x20                      them when the same command is re-invoked\n\
-     \x20 --retries N          inject fan-out: attempts per unit before it is\n\
-     \x20                      reported failed (default 3)\n\
-     \x20 --retry-backoff-ms M base backoff between attempts (default 100)\n\
      \x20 --exact              diff: require byte-identical reports (ignoring\n\
      \x20                      wall-clock and span-profile sections)\n\
      \n\
@@ -326,16 +321,41 @@ fn parse_prefetch(flags: &HashMap<String, String>) -> Result<Option<(u32, Prefet
     Ok(Some((n, mode)))
 }
 
+/// Largest explicit `--jobs`: a fan-out starts one worker thread per
+/// job, up to one per unit.
+const MAX_JOBS: usize = 256;
+
+/// Largest `--seeds`: the campaign's unit list is built before any unit
+/// runs.
+const MAX_SEEDS: u64 = 65_536;
+
 /// `--jobs N` (worker threads for fanned runs); absent or `auto` means
 /// the host's available parallelism.
 fn parse_jobs(flags: &HashMap<String, String>) -> Result<usize, String> {
     match flags.get("jobs").map(String::as_str) {
         None | Some("auto") => Ok(bimodal::exec::available_jobs()),
         Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err("--jobs must be a positive number or 'auto'".to_owned()),
+            Ok(n) if (1..=MAX_JOBS).contains(&n) => Ok(n),
+            _ => Err(format!(
+                "--jobs must be a number from 1 to {MAX_JOBS} or 'auto'"
+            )),
         },
     }
+}
+
+/// `--seeds N`: the campaign seeds `base`, `base + 1`, ..., `base + N - 1`.
+fn parse_seeds(flags: &HashMap<String, String>, base: u64) -> Result<Vec<u64>, String> {
+    let n: u64 = num(flags, "seeds", 1)?;
+    if !(1..=MAX_SEEDS).contains(&n) {
+        return Err(format!("--seeds must be from 1 to {MAX_SEEDS} (got {n})"));
+    }
+    let last = base.checked_add(n - 1).ok_or_else(|| {
+        format!(
+            "--seeds {n} from --seed {base} runs past the largest seed, {}",
+            u64::MAX
+        )
+    })?;
+    Ok((base..=last).collect())
 }
 
 fn build_simulation(
@@ -1077,18 +1097,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_record(flags: &HashMap<String, String>) -> Result<(), String> {
-    let program = flags.get("program").ok_or("record needs --program")?;
-    let out = flags.get("out").ok_or("record needs --out")?;
-    let n: usize = num(flags, "n", 100_000)?;
-    let seed: u64 = num(flags, "seed", 7)?;
-    let spec = spec_profile(program).ok_or_else(|| format!("unknown program {program:?}"))?;
-    let accesses: Vec<_> = spec.trace(seed, 0).take(n).collect();
-    let written = write_trace(out, &accesses).map_err(|e| e.to_string())?;
-    println!("wrote {written} accesses of {program} to {out}");
-    Ok(())
-}
-
 fn print_campaign(report: &CampaignReport) {
     println!("== fault campaign: {} on {} ==", report.scheme, report.mix);
     println!(
@@ -1182,11 +1190,8 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
             ..WatchdogConfig::default()
         })
     };
-    let seeds: u64 = num(flags, "seeds", 1)?;
-    if seeds == 0 {
-        return Err("--seeds must be at least 1".to_owned());
-    }
     let base_seed = num(flags, "seed", system.seed)?;
+    let seeds = parse_seeds(flags, base_seed)?;
     let mix_name = mix.name().to_owned();
     let accesses: u64 = num(flags, "accesses", 30_000)?;
     let ecc = flag_bool(flags, "ecc")?;
@@ -1203,14 +1208,11 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
             .with_antt(antt)
     };
 
-    if kinds.len() == 1 && seeds == 1 {
-        for fanned in ["manifest", "retries", "retry-backoff-ms"] {
-            if flags.contains_key(fanned) {
-                return Err(format!(
-                    "--{fanned} applies to fanned campaigns (--scheme all or \
-                     --seeds N); a single unit re-runs from scratch"
-                ));
-            }
+    if kinds.len() == 1 && seeds.len() == 1 {
+        if flags.contains_key("manifest") {
+            return Err("--manifest applies to fanned campaigns (--scheme all or \
+                        --seeds N); a single unit re-runs from scratch"
+                .to_owned());
         }
         let mut obs = build_observer(flags)?;
         let report = campaign_for(kinds[0], base_seed)
@@ -1254,17 +1256,6 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     let jobs = parse_jobs(flags)?;
-    let retries: u32 = num(flags, "retries", 3)?;
-    if retries == 0 {
-        return Err("--retries must be at least 1".to_owned());
-    }
-    let backoff_ms: u64 = num(flags, "retry-backoff-ms", 100)?;
-    let policy = RetryPolicy {
-        max_attempts: retries,
-        base_backoff_ms: backoff_ms,
-        max_backoff_ms: backoff_ms.saturating_mul(50).max(5_000),
-        jitter_seed: base_seed,
-    };
     let journal = parse_manifest(flags)?;
     if journal.is_some() && flags.contains_key("metrics-out") {
         return Err(
@@ -1278,8 +1269,7 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut cached: HashMap<(SchemeKind, u64), Json> = HashMap::new();
     let mut units: Vec<(SchemeKind, u64)> = Vec::new();
     for &kind in &kinds {
-        for k in 0..seeds {
-            let seed = base_seed + k;
+        for &seed in &seeds {
             let hit = journal.as_ref().and_then(|(dir, m)| {
                 let unit = backend_scoped(&format!("{}/seed{seed}", kind.name()), system.backend);
                 let file = format!(
@@ -1293,7 +1283,7 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
                 Some(j) => {
                     cached.insert((kind, seed), j);
                 }
-                None => units.push((kind, k)),
+                None => units.push((kind, seed)),
             }
         }
     }
@@ -1301,16 +1291,15 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
     let fleet = parse_heartbeat(flags)?
         .map(|interval| Arc::new(FleetProgress::new("campaigns", units.len(), interval)));
     let unit_list = units.clone();
-    let runs = bimodal::exec::map_fallible(jobs, units, policy, |idx, &(kind, k)| {
-        // Test hook: deterministically wreck one unit so the degradation
-        // path (retries, failed slot, nonzero exit) can be exercised end
-        // to end from the integration tests.
+    let runs = bimodal::exec::map_fallible(jobs, units, |idx, (kind, seed)| {
+        // Test hook: deterministically wreck the `idx`-th unit still to
+        // run, so the degradation path (failed slot, nonzero exit) can be
+        // exercised end to end from the integration tests.
         if std::env::var("BIMODAL_TEST_PANIC_UNIT").ok().as_deref()
             == Some(idx.to_string().as_str())
         {
             panic!("injected test panic in unit {idx}");
         }
-        let seed = base_seed + k;
         let mut obs = Observer::disabled();
         let run = campaign_for(kind, seed)
             .run(&mut obs)
@@ -1319,8 +1308,8 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
             fleet.unit_done(idx);
         }
         let r = run?;
-        // Journal the finished unit right away, so a crash (or a later
-        // unit exhausting its retries) never forfeits this one.
+        // Journal the finished unit right away, so a crash or a later
+        // failed unit never forfeits this one.
         if let Some((dir, m)) = &manifest {
             let journalled = (|| -> Result<(), String> {
                 let j = r.to_json();
@@ -1364,8 +1353,7 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut reg = MetricsRegistry::new();
     let mut fresh = unit_list.iter().zip(runs);
     for &kind in &kinds {
-        for k in 0..seeds {
-            let seed = base_seed + k;
+        for &seed in &seeds {
             if let Some(j) = cached.remove(&(kind, seed)) {
                 let v = |path: &[&str]| json_num(&j, path).unwrap_or(f64::NAN);
                 println!(
@@ -1386,15 +1374,9 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
             let (unit, result) = fresh
                 .next()
                 .expect("every campaign unit is either cached or ran");
-            debug_assert_eq!(*unit, (kind, k), "pool results stay in unit order");
+            debug_assert_eq!(*unit, (kind, seed), "pool results stay in unit order");
             match result {
-                UnitResult::Ok { value: r, attempts } => {
-                    if attempts > 1 {
-                        eprintln!(
-                            "note: {}/seed{seed} succeeded on attempt {attempts}",
-                            kind.name()
-                        );
-                    }
+                Ok(r) => {
                     if flags.contains_key("metrics-out") {
                         let prefix = format!("{}.seed{seed}", metric_slug(kind.name()));
                         fill_campaign_metrics(&mut reg, &prefix, &r);
@@ -1413,12 +1395,11 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
                     total_silent += r.silent_corruptions;
                     campaigns.push(r.to_json());
                 }
-                UnitResult::Failed(f) => {
+                Err(f) => {
                     eprintln!(
-                        "warning: {}/seed{seed} {} after {} attempt(s): {}",
+                        "warning: {}/seed{seed} {}: {}",
                         kind.name(),
                         if f.panicked { "panicked" } else { "failed" },
-                        f.attempts,
                         f.error
                     );
                     println!("{:>16} {seed:>10} {:>8}", kind.name(), "FAILED");
@@ -1426,7 +1407,6 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
                     fj.set("unit", format!("{}/seed{seed}", kind.name()))
                         .set("scheme", kind.name())
                         .set("seed", seed)
-                        .set("attempts", u64::from(f.attempts))
                         .set("error", f.error.as_str())
                         .set("panicked", f.panicked);
                     failed.push(fj);
@@ -1445,7 +1425,7 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
         j.set("command", "inject")
             .set("mix", mix_name.as_str())
             .set("base_seed", base_seed)
-            .set("seeds", seeds)
+            .set("seeds", seeds.len())
             .set(
                 "schemes",
                 Json::Arr(kinds.iter().map(|k| Json::from(k.name())).collect()),
@@ -1458,7 +1438,7 @@ fn cmd_inject(flags: &HashMap<String, String>) -> Result<(), String> {
     write_metrics(flags, &reg)?;
     if !failed.is_empty() {
         return Err(format!(
-            "{} campaign unit(s) failed after retries; completed units were \
+            "{} campaign unit(s) failed; completed units were \
              still reported (and journalled under --manifest)",
             failed.len()
         ));
@@ -2313,7 +2293,8 @@ fn anatomy_means(j: &Json) -> Option<Vec<(String, f64)>> {
 }
 
 /// Flags each command accepts; anything else is rejected up front.
-fn allowed_flags(command: &str) -> &'static [&'static str] {
+/// `None` for a command that does not exist.
+fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
     const RUN: &[&str] = &[
         "mix",
         "backend",
@@ -2370,8 +2351,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "metrics-out",
         "metrics-format",
         "manifest",
-        "retries",
-        "retry-backoff-ms",
     ];
     const COMPARE: &[&str] = &[
         "mix",
@@ -2417,7 +2396,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "heartbeat",
         "manifest",
     ];
-    const RECORD: &[&str] = &["program", "out", "n", "seed"];
     const BENCH: &[&str] = &[
         "quick",
         "backend",
@@ -2441,19 +2419,19 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "mix", "backend", "scheme", "addr", "accesses", "cache-mb", "seed", "warmup", "mlp",
         "prefetch",
     ];
-    match command {
+    Some(match command {
         "run" => RUN,
         "compare" => COMPARE,
         "antt" => ANTT,
         "sweep" => SWEEP,
-        "record" => RECORD,
         "inject" => INJECT,
         "bench" => BENCH,
         "bandwidth" => BANDWIDTH,
         "latency" => LATENCY,
         "explain" => EXPLAIN,
-        _ => &[],
-    }
+        "list" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
 }
 
 fn main() -> ExitCode {
@@ -2479,7 +2457,10 @@ fn main() -> ExitCode {
             }
         };
     }
-    let flags = match parse_flags(&args[1..], allowed_flags(command)) {
+    let flags = match allowed_flags(command)
+        .ok_or_else(|| format!("unknown command {command:?}"))
+        .and_then(|allowed| parse_flags(&args[1..], allowed))
+    {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
@@ -2495,7 +2476,6 @@ fn main() -> ExitCode {
         "compare" => cmd_compare(&flags),
         "antt" => cmd_antt(&flags),
         "sweep" => cmd_sweep(&flags),
-        "record" => cmd_record(&flags),
         "inject" => cmd_inject(&flags),
         "bench" => cmd_bench(&flags),
         "bandwidth" => cmd_bandwidth(&flags),
@@ -2505,7 +2485,7 @@ fn main() -> ExitCode {
             println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => unreachable!("allowed_flags knows no command {other:?}"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -2556,7 +2536,7 @@ mod tests {
         let names: Vec<&str> = synopses.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names.join(" "),
-            "list run compare antt sweep record inject bench bandwidth latency explain diff"
+            "list run compare antt sweep inject bench bandwidth latency explain diff"
         );
         for (command, mut flags) in synopses {
             // `diff` takes positional files and parses its own flags.
@@ -2565,7 +2545,7 @@ mod tests {
             }
             flags.sort_unstable();
             flags.dedup();
-            let mut allowed = allowed_flags(&command).to_vec();
+            let mut allowed = allowed_flags(&command).expect(&command).to_vec();
             allowed.sort_unstable();
             assert_eq!(flags, allowed, "{command}: synopsis flags vs allowed_flags");
         }
@@ -2586,6 +2566,33 @@ mod tests {
             let err = mlp(bad).expect_err(bad);
             assert!(err.starts_with("--mlp "), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn jobs_and_seeds_are_bounded_at_parse_time() {
+        let max = u64::MAX.to_string();
+        let jobs = |v: &str| parse_jobs(&one_flag("jobs", v));
+        assert_eq!(jobs("1"), Ok(1));
+        assert_eq!(jobs(&MAX_JOBS.to_string()), Ok(MAX_JOBS));
+        assert_eq!(jobs("auto"), Ok(bimodal::exec::available_jobs()));
+        let seeds = |v: &str, base| parse_seeds(&one_flag("seeds", v), base);
+        assert_eq!(seeds("1", 7), Ok(vec![7]));
+        assert_eq!(seeds("2", u64::MAX - 1), Ok(vec![u64::MAX - 1, u64::MAX]));
+        let all = seeds(&MAX_SEEDS.to_string(), 0).expect("the cap is allowed");
+        assert_eq!((all.len(), all.last()), (65_536, Some(&65_535)));
+        // Parsed only: a fan-out this wide would start a thread per job
+        // and list every unit before running one.
+        let too_many = [(MAX_JOBS + 1).to_string(), (MAX_SEEDS + 1).to_string()];
+        for bad in ["0", too_many[0].as_str(), max.as_str()] {
+            let err = jobs(bad).expect_err(bad);
+            assert!(err.starts_with("--jobs "), "{bad}: {err}");
+        }
+        for bad in ["0", too_many[1].as_str(), max.as_str()] {
+            let err = seeds(bad, 7).expect_err(bad);
+            assert!(err.starts_with("--seeds "), "{bad}: {err}");
+        }
+        let err = seeds("2", u64::MAX).expect_err("seed overflow");
+        assert!(err.starts_with("--seeds "), "{err}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   invariant checker, and resilience reporting,
 //! * [`exec`] — the dependency-free bounded worker pool that fans
 //!   independent runs across threads with bit-identical results, with a
-//!   fault-tolerant retrying variant and resumable-campaign manifests,
+//!   panic-isolating variant and resumable-campaign manifests,
 //! * [`ckpt`] — the versioned, checksummed snapshot container behind
 //!   engine checkpoint/resume and every atomic file write,
 //! * [`prng`] — the dependency-free xoshiro256++ PRNG the workload

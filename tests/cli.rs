@@ -65,34 +65,6 @@ fn unknown_mix_fails() {
 }
 
 #[test]
-fn record_then_reload_trace() {
-    let path = std::env::temp_dir().join(format!("bimodal-cli-{}.bmt", std::process::id()));
-    let out = bimodal()
-        .args([
-            "record",
-            "--program",
-            "gcc",
-            "--out",
-            path.to_str().expect("utf8"),
-            "--n",
-            "1000",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let accesses: Vec<_> = bimodal::workloads::read_trace(&path)
-        .expect("opens")
-        .collect::<Result<Vec<_>, _>>()
-        .expect("parses");
-    std::fs::remove_file(&path).expect("cleanup");
-    assert_eq!(accesses.len(), 1000);
-}
-
-#[test]
 fn no_arguments_prints_usage() {
     let out = bimodal().output().expect("binary runs");
     assert!(!out.status.success());
@@ -463,6 +435,19 @@ fn bad_flag_values_fail_naming_the_flag() {
         ),
         ("compare --mix Q2 --accesses 100 --shards 2", "--shards"),
         ("bench --quick --shards 2", "--shards"),
+        (
+            "inject --mix Q2 --scheme all --accesses 100 --retries 2",
+            "unknown flag --retries",
+        ),
+        (
+            "inject --mix Q2 --scheme all --accesses 100 --retry-backoff-ms 0",
+            "unknown flag --retry-backoff-ms",
+        ),
+        ("record --program gcc --out x --n 10", "unknown command"),
+        (
+            "inject --mix Q2 --accesses 100 --seed 18446744073709551615 --seeds 2",
+            "--seeds",
+        ),
         (
             "run --mix Q2 --scheme bimodal --accesses 100 --cache-mb 0",
             "--cache-mb",
@@ -1532,9 +1517,9 @@ fn golden_checkpoint_resumes_and_is_rewritten_byte_for_byte() {
 
 #[test]
 fn inject_pool_survives_a_panicking_unit() {
-    // One wrecked unit must not sink the campaign: the pool retries it,
-    // gives up, reports it under `failed`, finishes every other unit,
-    // and exits nonzero with the partial results already written.
+    // One wrecked unit must not sink the campaign: the pool runs it once,
+    // reports it under `failed`, finishes every other unit, and exits
+    // nonzero with the partial results already written.
     let dir = std::env::temp_dir().join(format!("bimodal-cli-panic-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1551,10 +1536,6 @@ fn inject_pool_survives_a_panicking_unit() {
             "1500".to_owned(),
             "--metadata-rate".to_owned(),
             "0.001".to_owned(),
-            "--retries".to_owned(),
-            "2".to_owned(),
-            "--retry-backoff-ms".to_owned(),
-            "0".to_owned(),
             "--json".to_owned(),
             json.display().to_string(),
             "--manifest".to_owned(),
@@ -1588,7 +1569,19 @@ fn inject_pool_survives_a_panicking_unit() {
         "panicked serializes as a bool, not a number"
     );
     assert!(f.to_compact().contains("\"panicked\":true"));
-    assert_eq!(f.get("attempts").and_then(|a| a.as_f64()), Some(2.0));
+    assert!(
+        f.get("error")
+            .and_then(|e| e.as_str())
+            .is_some_and(|e| e.contains("injected test panic in unit 1")),
+        "the error names the injected panic: {}",
+        f.to_compact()
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.lines().filter(|l| l.contains("panicked at")).count(),
+        1,
+        "the wrecked unit ran once:\n{stderr}"
+    );
     // Re-invoking with the same manifest (panic hook off) runs only the
     // failed unit and completes the campaign cleanly.
     let json2 = dir.join("campaign2.json");

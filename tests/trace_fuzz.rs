@@ -1,34 +1,75 @@
-//! Seeded garbage-trace fuzz against the full replay path.
+//! Hostile-stream and corrupt-checkpoint fuzz against the full replay
+//! and resume paths.
 //!
-//! The `BMT1` reader already has a unit-level fuzz test proving it
-//! never panics on malformed bytes. These tests extend that corpus one
-//! layer up: whatever the reader *does* yield — clean records, a good
-//! prefix before a truncation, or nothing — is replayed into every
-//! cache organization in the comparison set. External trace input must
-//! never panic any scheme; every malformation surfaces as a typed
-//! [`TraceError`], and every parsed record is serviced.
+//! Every run replays seeded generator streams, which are well formed by
+//! construction. The hostile-stream tests feed every cache organization
+//! in the comparison set streams no generator produces: arbitrary
+//! unaligned 63-bit addresses, the extreme addresses, gaps up to
+//! 2^32 - 1 cycles and random write flags, plus dense 64 B-aligned
+//! streams whose sets conflict, on the default, `tdram` and `pcm-far`
+//! substrates. No scheme may panic, every access must complete after it
+//! was issued, and every access must be counted.
 
-use bimodal::cache::CacheAccess;
+use bimodal::cache::{CacheAccess, SchemeStats};
+use bimodal::dram::BackendKind;
 use bimodal::prng::SmallRng;
 use bimodal::sim::{SchemeKind, SystemConfig};
-use bimodal::workloads::{read_trace, write_trace, Access, TraceError};
+use bimodal::workloads::Access;
 
-const MAGIC: &[u8; 4] = b"BMT1";
-
-fn temp(name: &str, seed: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "bimodal-fuzz-{name}-{seed}-{}.bmt",
-        std::process::id()
-    ))
-}
+/// Longest gap in a hostile stream: 2^32 - 1 compute cycles.
+const MAX_GAP: u64 = u32::MAX as u64;
 
 fn system() -> SystemConfig {
     SystemConfig::quad_core().with_cache_mb(4)
 }
 
-/// Replays `accesses` through `kind` on `config`'s memory substrate,
-/// asserting time always advances.
-fn replay_on(kind: SchemeKind, config: &SystemConfig, accesses: &[Access]) {
+/// 0..=20 accesses at arbitrary, unaligned 63-bit addresses, with
+/// random write flags and gaps in `[0, 2^32)`.
+fn arbitrary_stream(rng: &mut SmallRng) -> Vec<Access> {
+    let n = rng.gen_range(0usize..21);
+    (0..n)
+        .map(|_| Access {
+            addr: rng.next_u64() >> 1,
+            is_write: rng.gen_bool(0.5),
+            gap: rng.gen_range(0..MAX_GAP + 1),
+        })
+        .collect()
+}
+
+/// The lowest and highest addresses, read and written, after gaps of 0
+/// and 2^32 - 1.
+fn edge_stream() -> Vec<Access> {
+    let mut out = Vec::new();
+    for addr in [0, (1 << 63) - 64, (1 << 63) - 1] {
+        for is_write in [false, true] {
+            for gap in [0, MAX_GAP] {
+                out.push(Access {
+                    addr,
+                    is_write,
+                    gap,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// `n` 64 B-aligned accesses below 64 MiB, so sets conflict, with
+/// writes at probability `writes` and gaps under 500 cycles.
+fn aligned_stream(rng: &mut SmallRng, n: usize, writes: f64) -> Vec<Access> {
+    (0..n)
+        .map(|_| Access {
+            addr: rng.gen_range(0u64..1 << 26) & !63,
+            is_write: rng.gen_bool(writes),
+            gap: rng.gen_range(0u64..500),
+        })
+        .collect()
+}
+
+/// Replays `accesses` through a fresh `kind` on `config`'s memory
+/// substrate, asserting time always advances and every access is
+/// counted; returns the final statistics and end time.
+fn replay_on(kind: SchemeKind, config: &SystemConfig, accesses: &[Access]) -> (SchemeStats, u64) {
     let mut scheme = kind.build(config);
     let mut mem = config.build_memory();
     let mut now = 0;
@@ -43,208 +84,63 @@ fn replay_on(kind: SchemeKind, config: &SystemConfig, accesses: &[Access]) {
         now = out.complete + a.gap;
     }
     assert_eq!(scheme.stats().accesses, accesses.len() as u64, "{kind}");
+    (scheme.stats().clone(), now)
 }
 
-/// Replays `accesses` through `kind` on the default substrate.
-fn replay(kind: SchemeKind, accesses: &[Access]) {
-    replay_on(kind, &system(), accesses);
+/// Replays every stream through every scheme on `config`.
+fn replay_everywhere(config: &SystemConfig, streams: &[Vec<Access>]) {
+    for stream in streams {
+        for kind in SchemeKind::comparison_set() {
+            replay_on(kind, config, stream);
+        }
+    }
 }
 
-/// Random byte garbage — raw, or with a valid `BMT1` header spliced on
-/// so the record parser gets exercised — must never panic the reader or
-/// any scheme fed from it. Garbage that parses yields arbitrary 63-bit
-/// addresses and gaps; every organization must service them.
+/// The default substrate services 24 arbitrary streams, the edge stream
+/// and 4 set-conflicting aligned streams on every organization.
 #[test]
 fn garbage_traces_never_panic_any_scheme() {
-    for seed in 0..48u64 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let len = rng.gen_range(0usize..240);
-        let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
-        if seed.is_multiple_of(2) {
-            let mut with_magic = MAGIC.to_vec();
-            with_magic.append(&mut bytes);
-            bytes = with_magic;
-        }
-        let path = temp("garbage", seed);
-        std::fs::write(&path, &bytes).expect("writes");
-        let opened = read_trace(&path);
-        match opened {
-            Err(e) => assert!(
-                matches!(e, TraceError::NotATrace | TraceError::Io(_)),
-                "open failures are typed (seed {seed})"
-            ),
-            Ok(trace) => {
-                let mut good = Vec::new();
-                for (i, item) in trace.enumerate() {
-                    match item {
-                        Ok(a) => {
-                            assert_eq!(a.addr >> 63, 0, "write flag stripped (seed {seed})");
-                            good.push(a);
-                        }
-                        Err(e) => {
-                            // Errors are typed and terminal: only a
-                            // truncated tail can follow a valid header.
-                            assert!(
-                                matches!(e, TraceError::TruncatedRecord { index } if index == i as u64),
-                                "seed {seed}"
-                            );
-                            break;
-                        }
-                    }
-                }
-                for kind in SchemeKind::comparison_set() {
-                    replay(kind, &good);
-                }
-            }
-        }
-        std::fs::remove_file(&path).expect("cleanup");
-    }
+    let mut rng = SmallRng::seed_from_u64(0xF022);
+    let mut streams: Vec<Vec<Access>> = (0..24).map(|_| arbitrary_stream(&mut rng)).collect();
+    streams.push(edge_stream());
+    streams.extend((0..4).map(|_| {
+        let n = rng.gen_range(4usize..21);
+        aligned_stream(&mut rng, n, 0.3)
+    }));
+    replay_everywhere(&system(), &streams);
 }
 
-/// A trace cut off mid-record still replays its good prefix on every
-/// scheme, and the truncation reports exactly how many records survived.
+/// Writes and gaps are part of the deterministic input: replaying the
+/// same write-heavy stream twice gives every scheme the same statistics
+/// and the same end time.
 #[test]
-fn truncated_traces_replay_their_good_prefix_everywhere() {
-    for seed in [3u64, 17, 99] {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let n = rng.gen_range(4u64..20);
-        let accesses: Vec<Access> = (0..n)
-            .map(|_| {
-                let addr = rng.gen_range(0u64..1 << 26) & !63;
-                let gap = rng.gen_range(0u64..500);
-                if rng.gen_bool(0.3) {
-                    Access::write(addr, gap)
-                } else {
-                    Access::read(addr, gap)
-                }
-            })
-            .collect();
-        let path = temp("truncated", seed);
-        write_trace(&path, &accesses).expect("writes");
-        // Chop the file inside the final record.
-        let mut bytes = std::fs::read(&path).expect("reads back");
-        let cut = rng.gen_range(1usize..12);
-        bytes.truncate(bytes.len() - cut);
-        std::fs::write(&path, &bytes).expect("rewrites");
-        let items: Vec<_> = read_trace(&path).expect("opens").collect();
-        std::fs::remove_file(&path).expect("cleanup");
-        assert_eq!(items.len() as u64, n, "seed {seed}");
-        let good: Vec<Access> = items[..items.len() - 1]
-            .iter()
-            .map(|r| *r.as_ref().expect("prefix parses"))
-            .collect();
-        assert!(
-            matches!(
-                items[items.len() - 1],
-                Err(TraceError::TruncatedRecord { index }) if index == n - 1
-            ),
-            "seed {seed}"
-        );
-        for kind in SchemeKind::comparison_set() {
-            replay(kind, &good);
-        }
-    }
-}
-
-/// Round-trip determinism through the file format: replaying a trace
-/// read back from disk gives every scheme the same statistics as
-/// replaying the in-memory original.
-#[test]
-fn file_round_trip_replays_identically_on_every_scheme() {
+fn aligned_write_stream_replays_identically_on_every_scheme() {
     let mut rng = SmallRng::seed_from_u64(0xF0F0);
-    let accesses: Vec<Access> = (0..400)
-        .map(|_| {
-            let addr = rng.gen_range(0u64..1 << 23) & !63;
-            let gap = rng.gen_range(0u64..200);
-            if rng.gen_bool(0.25) {
-                Access::write(addr, gap)
-            } else {
-                Access::read(addr, gap)
-            }
-        })
-        .collect();
-    let path = temp("roundtrip", 0);
-    write_trace(&path, &accesses).expect("writes");
-    let back: Vec<Access> = read_trace(&path)
-        .expect("opens")
-        .collect::<Result<_, _>>()
-        .expect("parses");
-    std::fs::remove_file(&path).expect("cleanup");
-    assert_eq!(back, accesses);
+    let accesses = aligned_stream(&mut rng, 400, 0.25);
     for kind in SchemeKind::comparison_set() {
-        let run = |trace: &[Access]| {
-            let mut scheme = kind.build(&system());
-            let mut mem = system().build_memory();
-            let mut now = 0;
-            for a in trace {
-                let access = if a.is_write {
-                    CacheAccess::write(a.addr, now)
-                } else {
-                    CacheAccess::read(a.addr, now)
-                };
-                now = scheme.access(access, &mut mem).complete + a.gap;
-            }
-            (scheme.stats().clone(), now)
-        };
-        assert_eq!(run(&accesses), run(&back), "{kind}");
+        assert_eq!(
+            replay_on(kind, &system(), &accesses),
+            replay_on(kind, &system(), &accesses),
+            "{kind}"
+        );
     }
 }
 
-/// The exotic substrates digest the same hostile corpus: garbage and
-/// truncated `BMT1` bytes replay whatever parses through every scheme on
-/// the fused-burst `tdram` and slow-media `pcm-far` backends without a
-/// panic. The fused tag+data shortcut and the asymmetric write penalty
-/// both sit on the hit/miss hot paths, so arbitrary 63-bit addresses and
-/// gaps must not trip either.
+/// The exotic substrates digest the same hostile corpus: 8 arbitrary and
+/// 8 aligned streams on the fused-burst `tdram` and slow-media `pcm-far`
+/// backends. The fused tag+data shortcut and the asymmetric write
+/// penalty both sit on the hit/miss hot paths, so arbitrary 63-bit
+/// addresses and gaps must not trip either.
 #[test]
 fn hostile_traces_never_panic_on_tdram_or_pcm_far() {
-    use bimodal::dram::BackendKind;
-    for seed in 0..16u64 {
-        let mut rng = SmallRng::seed_from_u64(0x7D0 ^ seed);
-        // Half the corpus is raw garbage behind a valid magic; the other
-        // half is a real trace chopped mid-record.
-        let path = temp("backend", seed);
-        if seed.is_multiple_of(2) {
-            let len = rng.gen_range(0usize..240);
-            let mut bytes = MAGIC.to_vec();
-            bytes.extend((0..len).map(|_| rng.gen_range(0u32..256) as u8));
-            std::fs::write(&path, &bytes).expect("writes");
-        } else {
-            let n = rng.gen_range(4u64..20);
-            let accesses: Vec<Access> = (0..n)
-                .map(|_| {
-                    let addr = rng.gen_range(0u64..1 << 26) & !63;
-                    let gap = rng.gen_range(0u64..500);
-                    if rng.gen_bool(0.3) {
-                        Access::write(addr, gap)
-                    } else {
-                        Access::read(addr, gap)
-                    }
-                })
-                .collect();
-            write_trace(&path, &accesses).expect("writes");
-            let mut bytes = std::fs::read(&path).expect("reads back");
-            let cut = rng.gen_range(1usize..12);
-            bytes.truncate(bytes.len() - cut);
-            std::fs::write(&path, &bytes).expect("rewrites");
-        }
-        let good: Vec<Access> = match read_trace(&path) {
-            Err(e) => {
-                assert!(
-                    matches!(e, TraceError::NotATrace | TraceError::Io(_)),
-                    "open failures are typed (seed {seed})"
-                );
-                Vec::new()
-            }
-            Ok(trace) => trace.map_while(Result::ok).collect(),
-        };
-        std::fs::remove_file(&path).expect("cleanup");
-        for backend in [BackendKind::Tdram, BackendKind::PcmFar] {
-            let config = system().with_backend(backend);
-            for kind in SchemeKind::comparison_set() {
-                replay_on(kind, &config, &good);
-            }
-        }
+    let mut rng = SmallRng::seed_from_u64(0x7D0);
+    let mut streams: Vec<Vec<Access>> = (0..8).map(|_| arbitrary_stream(&mut rng)).collect();
+    streams.extend((0..8).map(|_| {
+        let n = rng.gen_range(4usize..21);
+        aligned_stream(&mut rng, n, 0.3)
+    }));
+    for backend in [BackendKind::Tdram, BackendKind::PcmFar] {
+        replay_everywhere(&system().with_backend(backend), &streams);
     }
 }
 
